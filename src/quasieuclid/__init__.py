@@ -32,7 +32,6 @@ from .classify import (
     NonUfdWitness,
     PrimeHit,
     ShScan,
-    make_log_generic,
     make_zero_on,
     non_ufd_witness,
     scan_sh,
@@ -102,7 +101,6 @@ __all__ = [
     "integer_mod",
     "is_prime",
     "log_generic",
-    "make_log_generic",
     "make_zero_on",
     "non_ufd_witness",
     "normalize_positive",

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import fibonacci
-from .padic import crt_combine, factorize, poly_eval_mod
+from .chains import _euclid_trace, fibonacci
 from .poly import ZERO, RingElement, as_element
 from .ring import RingContext
 
@@ -47,14 +46,6 @@ class AdversaryReport:
         }
 
 
-def _euclid_length(c: int, d: int) -> int:
-    steps = 0
-    while d:
-        c, d = d, c % d
-        steps += 1
-    return steps
-
-
 def fib_pair_for(k: int) -> tuple[int, int]:
     """Consecutive Fibonacci numbers (c, d) whose integer division chain is
     longer than 2k, so no integer chain of length <= k from (c, d)
@@ -65,7 +56,7 @@ def fib_pair_for(k: int) -> tuple[int, int]:
     m = 2 * k + 2
     while True:
         c, d = fibonacci(m + 1), fibonacci(m)
-        if _euclid_length(c, d) > 2 * k:
+        if len(_euclid_trace(c, d)) > 2 * k:
             return c, d
         m += 1
 
@@ -73,29 +64,17 @@ def fib_pair_for(k: int) -> tuple[int, int]:
 def integer_mod(ctx: RingContext, b: RingElement, d: int) -> int:
     """The unique beta in [0, d) such that d divides b - beta in the ring.
 
-    Per prime power p^e dividing d, with n the denominator of b and p^v
-    its p-part, beta solves (n/p^v) * beta = h(tau_p)/p^v mod p^e; the
-    results combine by Chinese remaindering.
+    With b = h/n, (b - beta)/d = (h - beta*n)/(n*d) is a member exactly
+    when h(tau) = beta*n mod n*d.  Membership of b makes h(tau) mod n*d a
+    multiple t*n of n with 0 <= t < d, so beta = t.
     """
     if d < 1:
         raise ValueError("modulus must be positive")
     b = ctx.make_element(as_element(b))
-    n = b.den
-    parts = []
-    for p, e in factorize(d):
-        v = 0
-        n_unit = n
-        while n_unit % p == 0:
-            n_unit //= p
-            v += 1
-        h_val = poly_eval_mod(b.num, ctx.tau, p, v + e).value
-        if h_val % p**v != 0:
-            raise RuntimeError("membership of b contradicts its residue (bug)")
-        target = (h_val // p**v) % p**e
-        beta_p = target * pow(n_unit, -1, p**e) % p**e
-        parts.append((p**e, beta_p))
-    beta, _ = crt_combine(parts)
-    return beta
+    t = ctx.tau.eval_mod(b.num, b.den * d)
+    if t % b.den:
+        raise RuntimeError("membership of b contradicts its residue (bug)")
+    return t // b.den
 
 
 def adversarial_pair(ctx: RingContext, k: int, b: RingElement) -> RingElement:

@@ -3,13 +3,14 @@ comparison of arbitrary chains against the canonical div/mod chain.
 
 A chain from (a, b) is determined by its quotient sequence; remainders
 follow from r_1 = a - q_1 b and r_{i+1} = r_{i-1} - q_{i+1} r_i.  DivisionChain
-revalidates that recurrence on construction, so every transformation below
-is checked by reconstruction rather than trusted.
+takes only (a, b, quotients) and derives the remainders itself, so the
+recurrence holds by construction and every transformation below is a
+rewrite of the quotient tuple alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .poly import ZERO, ONE, RingElement, as_element
@@ -20,27 +21,28 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class DivisionChain:
-    """A chain from (a, b) with derived remainders; b must be nonzero.
+    """The chain from (a, b) with the given quotients; b must be nonzero.
 
-    A zero-length chain (no quotients) is allowed; its last remainder is b
-    itself.  The chain is terminating when the last remainder is zero.
+    The remainders are not passed in: they are derived on construction from
+    r_1 = a - q_1 b and r_{i+1} = r_{i-1} - q_{i+1} r_i.  A zero-length
+    chain (no quotients) is allowed; its last remainder is b itself.  The
+    chain is terminating when the last remainder is zero.
     """
 
     a: RingElement
     b: RingElement
     quotients: tuple[RingElement, ...]
-    remainders: tuple[RingElement, ...]
+    remainders: tuple[RingElement, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.b.is_zero:
             raise ValueError("chain requires b != 0")
-        if len(self.quotients) != len(self.remainders):
-            raise ValueError("quotient and remainder sequences differ in length")
+        rems = []
         prev, cur = self.a, self.b
-        for q, r in zip(self.quotients, self.remainders):
-            if r != prev - q * cur:
-                raise ValueError("remainders do not satisfy the chain recurrence")
-            prev, cur = cur, r
+        for q in self.quotients:
+            prev, cur = cur, prev - q * cur
+            rems.append(cur)
+        object.__setattr__(self, "remainders", tuple(rems))
 
     @property
     def length(self) -> int:
@@ -86,13 +88,7 @@ def build_chain(a, b, quotients: Iterable, ctx: "RingContext | None" = None) -> 
     if ctx is not None:
         for e in (a, b, *qs):
             ctx.make_element(e)
-    rems = []
-    prev, cur = a, b
-    for q in qs:
-        nxt = prev - q * cur
-        rems.append(nxt)
-        prev, cur = cur, nxt
-    return DivisionChain(a, b, qs, tuple(rems))
+    return DivisionChain(a, b, qs)
 
 
 # --------------------------------------------------------------------------
@@ -107,19 +103,16 @@ def t1(c: DivisionChain) -> DivisionChain:
     step and the absolute value of the last remainder is unchanged.
     Identity when no quotient beyond the first is negative.
     """
-    qs, rs = c.quotients, c.remainders
+    qs = c.quotients
     idx = next((j for j in range(1, len(qs)) if qs[j] < ZERO), None)
     if idx is None:
         return c
-    prev = rs[idx - 2] if idx >= 2 else c.b
     new_q = (
         qs[: idx - 1]
         + (qs[idx - 1] - ONE, ONE, -(qs[idx] + ONE))
         + tuple(-q for q in qs[idx + 1 :])
     )
-    tail = tuple(r if t % 2 == 0 else -r for t, r in enumerate(rs[idx:]))
-    new_r = rs[: idx - 1] + (rs[idx - 1] + prev, -rs[idx - 1]) + tail
-    return DivisionChain(c.a, c.b, new_q, new_r)
+    return DivisionChain(c.a, c.b, new_q)
 
 
 def t2(c: DivisionChain) -> DivisionChain:
@@ -129,17 +122,15 @@ def t2(c: DivisionChain) -> DivisionChain:
     trailing zero truncates the chain by two.  The absolute value of the
     last remainder is unchanged.  Identity when no such quotient exists.
     """
-    qs, rs = c.quotients, c.remainders
+    qs = c.quotients
     idx = next((j for j in range(1, len(qs)) if qs[j].is_zero), None)
     if idx is None:
         return c
     if idx + 1 == len(qs):
         new_q = qs[: idx - 1]
-        new_r = rs[: idx - 1]
     else:
         new_q = qs[: idx - 1] + (qs[idx - 1] + qs[idx + 1],) + qs[idx + 2 :]
-        new_r = rs[: idx - 1] + rs[idx + 1 :]
-    return DivisionChain(c.a, c.b, new_q, new_r)
+    return DivisionChain(c.a, c.b, new_q)
 
 
 def rewrite_measure(c: DivisionChain) -> tuple[int, int]:

@@ -16,7 +16,6 @@ from .padic import (
     PredicateTau,
     TauSpec,
     is_prime,
-    log_generic,
     piecewise,
     poly_eval_mod,
     primes_upto,
@@ -163,11 +162,6 @@ def non_ufd_witness(
             chain.append(ctx.make_element(h.num, product))
         return NonUfdWitness(h, "distinct_primes", primes, tuple(chain))
     return None
-
-
-def make_log_generic(seed: int) -> TauSpec:
-    """Spec whose first digit at p is floor(ln p), higher digits seeded."""
-    return log_generic(seed)
 
 
 def make_zero_on(

@@ -8,6 +8,11 @@ algebraic roots, and piecewise combinations), together with the supporting
 modular toolkit: polynomial evaluation mod p^k, Hensel lifting, and Chinese
 remaindering.
 
+TauSpec.eval_mod(h, n) is the one place that answers "what is h(tau) mod
+n?" for a composite n: it factors n, evaluates h at each prime power, and
+combines the residues by Chinese remaindering.  The divmod quotient
+correction and the adversary's integer offset both ask it.
+
 Residue queries are memoized per spec instance.  Cached values are
 deterministic functions of (p, k), so concurrent readers may share a spec:
 a racing write stores the same value, and CPython dict operations are atomic
@@ -20,15 +25,19 @@ import hashlib
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
+
+from .poly import RingElement, qdiv
 
 
 # --------------------------------------------------------------------------
 # Small integer number theory.
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first thirteen primes: twelve bases are exact only below
+# psi_12 = 318665857834031151167461 (Sorenson-Webster 2017), which is a
+# strong pseudoprime to all of 2..37; base 41 extends that to 3.3e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @lru_cache(maxsize=None)
@@ -132,28 +141,6 @@ def _derivative(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(i * c for i, c in enumerate(coeffs) if i > 0)
 
 
-def _divides_poly(f: Sequence[int], h: Sequence[int]) -> bool:
-    # exact divisibility f | h in Q[x]; coefficient lists little-endian
-    rem = [Fraction(c) for c in h]
-    df = len(f) - 1
-    while df >= 0 and f[df] == 0:
-        df -= 1
-    if df < 0:
-        return False
-    lead = Fraction(f[df])
-    dr = len(rem) - 1
-    while dr >= df:
-        while dr >= 0 and rem[dr] == 0:
-            dr -= 1
-        if dr < df:
-            break
-        c = rem[dr] / lead
-        for j in range(df + 1):
-            rem[dr - df + j] -= c * f[j]
-        dr -= 1
-    return all(c == 0 for c in rem)
-
-
 # --------------------------------------------------------------------------
 # Residues.
 
@@ -245,6 +232,19 @@ class TauSpec(ABC):
     @abstractmethod
     def _residue(self, p: int, k: int) -> int:
         """Value of tau_p mod p^k, 0 <= value < p^k."""
+
+    def eval_mod(self, h: Sequence[int], n: int) -> int:
+        """h(tau) mod n for n >= 1: the value in [0, n) congruent to
+        h(tau_p) mod p^e for every prime power p^e exactly dividing n.
+
+        A constant h, or n = 1, needs no tau and no factoring.
+        """
+        if n == 1 or len(h) <= 1:
+            return h[0] % n if h else 0
+        value, _ = crt_combine(
+            (p**e, poly_eval_mod(h, self, p, e).value) for p, e in factorize(n)
+        )
+        return value
 
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
         """Whether this spec guarantees h(tau_p) = 0 exactly (all precisions).
@@ -390,7 +390,7 @@ class HenselTau(TauSpec):
         if self._simple_root(p) is None:
             return self.fallback.is_exact_root(h, p)
         # sufficient condition: every root of f is a root of h
-        return _divides_poly(self.poly, h)
+        return qdiv(RingElement(h), RingElement(self.poly))[1].is_zero
 
     def to_json(self) -> dict:
         return {
@@ -400,7 +400,21 @@ class HenselTau(TauSpec):
         }
 
 
-class PiecewiseTau(TauSpec):
+class _SplitTau(TauSpec):
+    """A spec that delegates each prime to the spec chosen by _pick."""
+
+    @abstractmethod
+    def _pick(self, p: int) -> TauSpec:
+        """The spec that answers for the prime p."""
+
+    def _residue(self, p: int, k: int) -> int:
+        return self._pick(p).query(p, k).value
+
+    def is_exact_root(self, h: Sequence[int], p: int) -> bool:
+        return self._pick(p).is_exact_root(h, p)
+
+
+class PiecewiseTau(_SplitTau):
     """Per-prime overrides over a default spec."""
 
     kind = "piecewise"
@@ -416,12 +430,6 @@ class PiecewiseTau(TauSpec):
     def _pick(self, p: int) -> TauSpec:
         return self.overrides.get(p, self.default)
 
-    def _residue(self, p: int, k: int) -> int:
-        return self._pick(p).query(p, k).value
-
-    def is_exact_root(self, h: Sequence[int], p: int) -> bool:
-        return self._pick(p).is_exact_root(h, p)
-
     def to_json(self) -> dict:
         return {
             "kind": "piecewise",
@@ -430,7 +438,7 @@ class PiecewiseTau(TauSpec):
         }
 
 
-class PredicateTau(TauSpec):
+class PredicateTau(_SplitTau):
     """Piecewise split on an arbitrary prime predicate; not serializable."""
 
     kind = "predicate"
@@ -448,12 +456,6 @@ class PredicateTau(TauSpec):
 
     def _pick(self, p: int) -> TauSpec:
         return self.when_true if self.test(p) else self.otherwise
-
-    def _residue(self, p: int, k: int) -> int:
-        return self._pick(p).query(p, k).value
-
-    def is_exact_root(self, h: Sequence[int], p: int) -> bool:
-        return self._pick(p).is_exact_root(h, p)
 
     def to_json(self) -> dict:
         raise TypeError("predicate-based specs have no JSON form")
@@ -500,6 +502,8 @@ def tau_from_json(data: Mapping) -> TauSpec:
     if kind == "hensel":
         return HenselTau(data["poly"], tau_from_json(data["fallback"]))
     if kind == "piecewise":
+        if not isinstance(data["overrides"], Mapping):
+            raise ValueError("piecewise 'overrides' must be an object")
         overrides = {int(p): tau_from_json(s) for p, s in data["overrides"].items()}
         return PiecewiseTau(overrides, tau_from_json(data["default"]))
     raise ValueError(f"unknown tau spec kind {kind!r}")

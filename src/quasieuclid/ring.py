@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple
 
 from .chains import DivisionChain
-from .padic import TauSpec, crt_combine, factorize, poly_eval_mod
+from .padic import TauSpec, factorize, poly_eval_mod
 from .poly import ONE, ZERO, RingElement, as_element, qdiv
 
 
@@ -125,26 +125,14 @@ class RingContext:
     def _divmod_nonneg(self, q: RingElement, r: RingElement) -> tuple[RingElement, RingElement]:
         # Divide in Q[x], then repair the quotient so that it lands in the
         # ring: with the rational quotient written as p'/m in lowest terms,
-        # the unique correction k in [0, m) has k = p'(tau_p) mod p^e for
-        # every prime power p^e dividing m.
+        # the unique correction k in [0, m) is p'(tau) mod m.
         pt, st = qdiv(q, r)
-        m = pt.den
-        if m == 1:
-            k = 0
-        elif pt.degree <= 0:
-            # constant quotient: the congruences collapse to k = p' mod m
-            k = pt.num[0] % m if pt.num else 0
-        else:
-            parts = [
-                (p**e, poly_eval_mod(pt.num, self.tau, p, e).value)
-                for p, e in factorize(m)
-            ]
-            k, _ = crt_combine(parts)
+        k = self.tau.eval_mod(pt.num, pt.den)
         if k == 0:
             if st.lc < 0:
                 return pt - ONE, st + r
             return pt, st
-        shift = RingElement((k,), m)
+        shift = RingElement((k,), pt.den)
         return pt - shift, st + shift * r
 
     # -- chains, gcd, divisibility -----------------------------------------
@@ -159,14 +147,12 @@ class RingContext:
         if b.is_zero:
             raise ZeroDivisionError("chain requires b != 0")
         quots: list[RingElement] = []
-        rems: list[RingElement] = []
         prev, cur = a, b
         for _ in range(max_steps):
             p, s = self.divmod(prev, cur)
             quots.append(p)
-            rems.append(s)
             if s.is_zero:
-                return DivisionChain(a, b, tuple(quots), tuple(rems))
+                return DivisionChain(a, b, tuple(quots))
             prev, cur = cur, s
         raise StepBudgetExceeded(
             f"division chain from ({a}, {b}) exceeded {max_steps} steps"

@@ -51,6 +51,8 @@ class _Parser:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
     def take(self) -> tuple[str, int]:
+        if self.pos >= len(self.tokens):
+            raise ParseError("unexpected end of expression")
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -88,18 +90,15 @@ class _Parser:
         base = self.atom()
         if self.peek() == "^":
             self.take()
-            sign = 1
             if self.peek() == "-":
                 raise ParseError("negative exponents are not supported")
             kind, value = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer")
-            return base ** (sign * value)
+            return base**value
         return base
 
     def atom(self) -> RingElement:
-        if self.peek() is None:
-            raise ParseError("unexpected end of expression")
         kind, value = self.take()
         if kind == "int":
             return as_element(value)

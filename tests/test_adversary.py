@@ -14,6 +14,7 @@ from quasieuclid import (
     hat,
     integer_mod,
     log_generic,
+    make_zero_on,
     stream,
 )
 
@@ -79,15 +80,28 @@ def test_integer_mod_divides_in_ring():
 
 
 def test_integer_mod_uniqueness_by_enumeration():
-    ctx = RingContext(constant(5))
-    b, d = X + 2, 12
-    beta = integer_mod(ctx, b, d)
-    hits = []
-    for t in range(d):
-        shifted = b - t
-        if ctx.is_member(RingElement(shifted.num, shifted.den * d)):
-            hits.append(t)
-    assert hits == [beta]
+    # rational b whose denominator shares a prime p with d: p | den(b), p | d
+    half = RingElement((0, 1, 1), 2)     # (x^2 + x)/2, a member for every tau
+    sixth = RingElement((0, -1, 0, 1), 6)  # (x^3 - x)/6, likewise
+    cases = [
+        (constant(5), X + 2, 12),
+        (constant(1), half, 12),
+        (constant(0), half, 8),
+        (stream(42), half, 8),
+        (stream(42), sixth, 18),
+        (log_generic(7), sixth, 36),
+        (constant(5), sixth, 21),
+        (make_zero_on([2], stream(3)), RingElement((0, 1), 4), 24),
+    ]
+    for tau, b, d in cases:
+        ctx = RingContext(tau)
+        beta = integer_mod(ctx, b, d)
+        hits = []
+        for t in range(d):
+            shifted = b - t
+            if ctx.is_member(RingElement(shifted.num, shifted.den * d)):
+                hits.append(t)
+        assert hits == [beta], (tau, b, d)
 
 
 # -- adversarial pairs ----------------------------------------------------------------

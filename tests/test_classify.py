@@ -10,7 +10,6 @@ from quasieuclid import (
     constant,
     hensel,
     log_generic,
-    make_log_generic,
     make_zero_on,
     non_ufd_witness,
     poly_eval_mod,
@@ -157,14 +156,14 @@ def test_witness_for_negative_leading_coefficient():
 
 
 def test_log_generic_first_digits():
-    spec = make_log_generic(7)
+    spec = log_generic(7)
     assert spec.query(2, 1).value == 0
     assert spec.query(3, 1).value == 1
     assert spec.query(11, 1).value == 2
 
 
 def test_log_generic_first_digit_formula():
-    spec = make_log_generic(3)
+    spec = log_generic(3)
     ctx = RingContext(spec)
     h = (2, -1, 1)  # x^2 - x + 2
     for p in primes_upto(50):
@@ -175,7 +174,7 @@ def test_log_generic_first_digit_formula():
 
 
 def test_zero_on_finite_set():
-    base = make_log_generic(7)
+    base = log_generic(7)
     spec = make_zero_on([2], base)
     for k in range(1, 5):
         assert spec.query(2, k).value == 0

@@ -226,6 +226,29 @@ def test_module_entry_point_runs():
     assert proc.stdout.strip() == "x/2: true"
 
 
+def _run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "quasieuclid", *argv],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_truncated_exponent_is_usage_error():
+    proc = _run_module("normalize", "13", "8", "x^")
+    assert proc.returncode == 2
+    assert "unexpected end of expression" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_piecewise_overrides_list_is_usage_error():
+    tau = '{"kind":"piecewise","overrides":[],"default":{"kind":"zero"}}'
+    proc = _run_module("member", "--tau", tau, "x/2")
+    assert proc.returncode == 2
+    assert "bad tau spec" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_norm_walk_demo(capsys, tmp_path):
     table = {"x": 5, "2x/3": 4}
     path = tmp_path / "norms.json"

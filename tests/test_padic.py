@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 
 from quasieuclid import (
     HenselLiftError,
+    PredicateTau,
     ResidueClass,
+    RingContext,
+    RingElement,
     constant,
     crt_combine,
     factorize,
@@ -48,6 +51,14 @@ def test_is_prime_against_sieve():
     sieve = set(primes_upto(500))
     for n in range(500):
         assert is_prime(n) == (n in sieve)
+
+
+def test_is_prime_rejects_psi_12():
+    # psi_12 (Sorenson-Webster 2017) is a strong pseudoprime to the twelve
+    # prime bases 2..37, so it needs base 41 to be rejected
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert 399165290221 * 798330580441 == 318665857834031151167461
 
 
 def test_factorize_multiplies_back():
@@ -142,6 +153,29 @@ def test_tower_coherence(spec, p, k):
 @given(st.integers(-50, 50), st.sampled_from(SMALL_PRIMES), st.integers(1, 6))
 def test_constant_matches_direct_reduction(z, p, k):
     assert constant(z).query(p, k).value == z % p**k
+
+
+def _eval_mod_reference(h, spec, n):
+    parts = [(p**e, poly_eval_mod(h, spec, p, e).value) for p, e in factorize(n)]
+    return crt_combine(parts)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        spec_strategy(),
+        st.tuples(spec_strategy(), spec_strategy()).map(
+            lambda pair: PredicateTau(lambda p: p % 4 == 1, *pair)
+        ),
+    ),
+    st.lists(st.integers(-40, 40), max_size=5),
+    st.integers(1, 5000),
+)
+def test_eval_mod_is_crt_of_prime_power_residues(spec, h, n):
+    h = tuple(h)
+    t = spec.eval_mod(h, n)
+    assert t == _eval_mod_reference(h, spec, n)
+    assert (t == 0) == RingContext(spec).is_member(RingElement(h, n))
 
 
 def test_concurrent_queries_agree():
