@@ -8,6 +8,7 @@ as an error object in JSON mode), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -15,13 +16,17 @@ from . import adversary as adv
 from . import chains as ch
 from . import classify as cl
 from .padic import TauSpec, stream, tau_from_json, zero
-from .poly import RingElement, format_element
+from .poly import RingElement
+from .poly import format_element as _fmt
 from .ring import NotMemberError, RingContext, StepBudgetExceeded, phi
 from .syntax import ParseError, parse_element
 
 
 class UsageError(Exception):
     pass
+
+
+_EPILOG = "a polynomial starting with '-' needs -- before it: quasieuclid divmod -- -x^2-1 3x+2"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,34 +43,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic in subrings of Q[x] cut out by p-adic residue conditions.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, parents=[common], epilog=_EPILOG)
 
-    p = sub.add_parser("member", parents=[common], help="test ring membership")
+    p = add("member", help="test ring membership")
     p.add_argument("element")
 
-    p = sub.add_parser("divmod", parents=[common], help="division with remainder")
+    p = add("divmod", help="division with remainder")
     p.add_argument("dividend")
     p.add_argument("divisor")
 
-    p = sub.add_parser("gcd", parents=[common], help="gcd with Bezout coefficients")
+    p = add("gcd", help="gcd with Bezout coefficients")
     p.add_argument("a")
     p.add_argument("b")
 
-    p = sub.add_parser("chain", parents=[common], help="canonical division chain with norm trace")
+    p = add("chain", help="canonical division chain with norm trace")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--max-steps", type=int, default=10_000)
 
-    p = sub.add_parser("normalize", parents=[common], help="rewrite a chain to positive quotients")
+    p = add("normalize", help="rewrite a chain to positive quotients")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("quotients", nargs="+")
 
-    p = sub.add_parser("compare", parents=[common], help="compare a chain against the canonical one")
+    p = add("compare", help="compare a chain against the canonical one")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("quotients", nargs="+")
 
-    p = sub.add_parser("adversary", parents=[common], help="degree-retaining pair and its report")
+    p = add("adversary", help="degree-retaining pair and its report")
     p.add_argument("k", type=int)
     p.add_argument("b")
     p.add_argument(
@@ -73,18 +79,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="JSON norm table {element: value}; walks the descent it cannot sustain",
     )
 
-    p = sub.add_parser("scan", parents=[common], help="residue-zero scan over a prime box")
+    p = add("scan", help="residue-zero scan over a prime box")
     p.add_argument("h")
     p.add_argument("--pmax", type=int, default=50)
     p.add_argument("--kmax", type=int, default=8)
 
-    p = sub.add_parser("witness", parents=[common], help="descending divisibility chain below h")
+    p = add("witness", help="descending divisibility chain below h")
     p.add_argument("h")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--pmax", type=int, default=50)
     p.add_argument("--kmax", type=int, default=8)
 
-    p = sub.add_parser("tau", parents=[common], help="inspect tau_p at one prime and precision")
+    p = add("tau", help="inspect tau_p at one prime and precision")
     p.add_argument("p", type=int)
     p.add_argument("k", type=int)
 
@@ -116,10 +122,6 @@ def _parse(text: str) -> RingElement:
         return parse_element(text)
     except ParseError as exc:
         raise UsageError(f"bad polynomial {text!r}: {exc}")
-
-
-def _fmt(e: RingElement) -> str:
-    return format_element(e)
 
 
 # -- subcommand handlers: each returns (json_payload, text_lines) ------------
@@ -159,12 +161,8 @@ def _cmd_gcd(ctx, args):
 
 
 def _phi_list(chain: ch.DivisionChain) -> list:
-    pairs = [(chain.a, chain.b)]
-    prev, cur = chain.a, chain.b
-    for r in chain.remainders:
-        pairs.append((cur, r))
-        prev, cur = cur, r
-    return [list(phi(x, y)) for x, y in pairs]
+    seq = (chain.a, chain.b) + chain.remainders
+    return [list(phi(x, y)) for x, y in zip(seq, seq[1:])]
 
 
 def _cmd_chain(ctx, args):
@@ -191,10 +189,8 @@ def _chain_from_args(ctx, args) -> ch.DivisionChain:
 
 def _cmd_normalize(ctx, args):
     chain = _chain_from_args(ctx, args)
-    steps = []
-    final = chain
-    for op, final in ch.normalize_steps(chain):
-        steps.append((op, final))
+    steps = list(ch.normalize_steps(chain))
+    final = steps[-1][1] if steps else chain
     payload = {
         "start": chain.to_json(),
         "steps": [{"op": op, "chain": c.to_json()} for op, c in steps],
@@ -232,10 +228,13 @@ def _norm_descent_demo(ctx, args, report) -> tuple[dict, list[str]]:
             table = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read norm table: {exc}")
+    if not isinstance(table, dict):
+        raise UsageError("norm table must be a JSON object {element: value}")
     norms = {}
     for text, value in table.items():
-        norms[_parse(text)] = int(value)
-    k = args.k
+        if type(value) is not int:
+            raise UsageError(f"norm of {text!r} must be an integer, got {value!r}")
+        norms[_parse(text)] = value
     lines = ["norm-table walk (a finite table cannot sustain the descent):"]
     trail = []
     b = report.b
@@ -244,16 +243,11 @@ def _norm_descent_demo(ctx, args, report) -> tuple[dict, list[str]]:
             lines.append(f"  N({_fmt(b)}) is not in the table; walk stops here")
             verdict = "table exhausted"
             break
-        a = adv.adversarial_pair(ctx, k, b)
-        qe = ctx.qe_chain(a, b)
-        options = qe.remainders[: min(k, qe.length)]
+        a = adv.adversarial_pair(ctx, args.k, b)
+        options = enumerate(ctx.qe_chain(a, b).remainders[: args.k], start=1)
         nb = norms[b]
         lines.append(f"  b = {_fmt(b)}, N(b) = {nb}, a = {_fmt(a)}")
-        pick = None
-        for l, r in enumerate(options, start=1):
-            if r in norms and norms[r] < nb:
-                pick = (l, r)
-                break
+        pick = next(((l, r) for l, r in options if norms.get(r, nb) < nb), None)
         if pick is None:
             lines.append(
                 "  no remainder within k stages has smaller table norm,"

@@ -10,8 +10,9 @@ remaindering.
 
 TauSpec.eval_mod(h, n) is the one place that answers "what is h(tau) mod
 n?" for a composite n: it factors n, evaluates h at each prime power, and
-combines the residues by Chinese remaindering.  The divmod quotient
-correction and the adversary's integer offset both ask it.
+combines the residues by Chinese remaindering; a constant tau (zero too)
+needs one Horner pass mod n and never factors.  Ring membership of h/n is
+eval_mod(h, n) == 0, and the divmod correction and integer_mod ask it too.
 
 Residue queries are memoized per spec instance.  Cached values are
 deterministic functions of (p, k), so concurrent readers may share a spec:
@@ -277,6 +278,9 @@ class ConstantTau(TauSpec):
     def _residue(self, p: int, k: int) -> int:
         return self.value % p**k
 
+    def eval_mod(self, h: Sequence[int], n: int) -> int:
+        return _eval_mod(h, self.value, n)
+
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
         return _eval_int(h, self.value) == 0
 
@@ -284,16 +288,13 @@ class ConstantTau(TauSpec):
         return {"kind": "constant", "value": self.value}
 
 
-class ZeroTau(TauSpec):
+class ZeroTau(ConstantTau):
     """tau_p = 0 for every p."""
 
     kind = "zero"
 
-    def _residue(self, p: int, k: int) -> int:
-        return 0
-
-    def is_exact_root(self, h: Sequence[int], p: int) -> bool:
-        return not h or h[0] == 0
+    def __init__(self) -> None:
+        super().__init__(0)
 
     def to_json(self) -> dict:
         return {"kind": "zero"}
@@ -491,6 +492,10 @@ def tau_from_json(data: Mapping) -> TauSpec:
         kind = data["kind"]
     except (TypeError, KeyError):
         raise ValueError("tau spec JSON must be an object with a 'kind' field")
+    # only exact integers: bool is an int subclass, and int() truncates or parses
+    key = "value" if kind == "constant" else "seed" if kind in ("stream", "log_generic") else None
+    if key is not None and type(data[key]) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {data[key]!r}")
     if kind == "constant":
         return ConstantTau(data["value"])
     if kind == "zero":
@@ -500,7 +505,10 @@ def tau_from_json(data: Mapping) -> TauSpec:
     if kind == "log_generic":
         return LogGenericTau(data["seed"])
     if kind == "hensel":
-        return HenselTau(data["poly"], tau_from_json(data["fallback"]))
+        poly = data["poly"]
+        if not isinstance(poly, list) or any(type(c) is not int for c in poly):
+            raise ValueError(f"hensel 'poly' must be a list of integers, got {poly!r}")
+        return HenselTau(poly, tau_from_json(data["fallback"]))
     if kind == "piecewise":
         if not isinstance(data["overrides"], Mapping):
             raise ValueError("piecewise 'overrides' must be an object")

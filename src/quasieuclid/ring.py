@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple
 
 from .chains import DivisionChain
-from .padic import TauSpec, factorize, poly_eval_mod
+from .padic import TauSpec, factorize
 from .poly import ONE, ZERO, RingElement, as_element, qdiv
 
 
@@ -62,41 +62,36 @@ def phi(q: RingElement, r: RingElement) -> NormTuple:
 
 
 class RingContext:
-    """A choice of tau plus memoized membership verdicts.
+    """A choice of tau; membership of h/n is tau.eval_mod(h, n) == 0.
 
-    Contexts are safe to share between threads for reads: all operations
-    are deterministic in (tau, inputs), and cache writes are idempotent.
+    A context keeps no cache of its own, so it is as safe to share between
+    threads as its tau: every operation is deterministic in (tau, inputs).
     """
 
     def __init__(self, tau: TauSpec):
         self.tau = tau
-        self._members: dict[RingElement, bool] = {}
 
     # -- membership -------------------------------------------------------
 
     def membership_witness(self, e: RingElement) -> tuple[int, int, int] | None:
         """None when e belongs to the ring, else (p, v, residue) showing
-        the failed congruence at the prime p of the denominator."""
-        for p, v in factorize(e.den):
-            r = poly_eval_mod(e.num, self.tau, p, v)
-            if r.value:
-                return p, v, r.value
-        return None
+        the failed congruence at the prime p of the denominator; only a
+        failure factors it (h(tau) mod n reduced mod p^v is h(tau_p) mod p^v).
+        """
+        t = self.tau.eval_mod(e.num, e.den)
+        if t == 0:
+            return None
+        return next((p, v, t % p**v) for p, v in factorize(e.den) if t % p**v)
 
     def is_member(self, e) -> bool:
         e = as_element(e)
-        cached = self._members.get(e)
-        if cached is None:
-            cached = self.membership_witness(e) is None
-            self._members[e] = cached
-        return cached
+        return self.tau.eval_mod(e.num, e.den) == 0
 
     def make_element(self, coeffs, den: int = 1) -> RingElement:
         """Validated constructor: normalize, then require membership."""
         e = coeffs if isinstance(coeffs, RingElement) else RingElement(coeffs, den)
-        if not self.is_member(e):
-            w = self.membership_witness(e)
-            assert w is not None
+        w = self.membership_witness(e)
+        if w is not None:
             raise NotMemberError(e, *w)
         return e
 
@@ -143,6 +138,8 @@ class RingContext:
         Termination is guaranteed by the norm descent; max_steps is a
         safety valve whose breach signals a defect, not a usage error.
         """
+        if max_steps < 1:
+            raise ValueError("max_steps must be positive")
         a, b = self.make_element(as_element(a)), self.make_element(as_element(b))
         if b.is_zero:
             raise ZeroDivisionError("chain requires b != 0")

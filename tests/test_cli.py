@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from quasieuclid import RingElement, parse_element
 from quasieuclid.cli import main
 
@@ -259,3 +261,53 @@ def test_norm_walk_demo(capsys, tmp_path):
     assert code == 0
     assert "norm-table walk" in out
     assert "table refuted" in out or "table exhausted" in out
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "3"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: {"kind": "constant", "value": v},
+        lambda v: {"kind": "stream", "seed": v},
+        lambda v: {"kind": "log_generic", "seed": v},
+        lambda v: {"kind": "hensel", "poly": [-2, v, 1], "fallback": {"kind": "zero"}},
+    ],
+    ids=["constant.value", "stream.seed", "log_generic.seed", "hensel.poly"],
+)
+def test_tau_json_integer_fields_are_strict(build, bad):
+    proc = _run_module("member", "--tau", json.dumps(build(bad)), "x/2")
+    assert proc.returncode == 2
+    assert "bad tau spec" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([["x", 5]], "must be a JSON object"),
+        ({"x": 2.5}, "must be an integer"),
+        ({"x": "abc"}, "must be an integer"),
+    ],
+    ids=["list", "float", "str"],
+)
+def test_norm_file_rejects_bad_shapes(capsys, tmp_path, table, message):
+    path = tmp_path / "norms.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run_cli(
+        capsys, "adversary", "--tau", ZERO_TAU, "1", "x", "--norm-file", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_leading_minus_polynomial_after_double_dash(capsys):
+    code, out, _ = run_cli(capsys, "divmod", "--", "-x^2-1", "3x+2")
+    assert code == 0
+    assert out.splitlines() == ["quotient:  -x/3", "remainder: (2*x - 3)/3"]
+
+
+def test_chain_rejects_nonpositive_max_steps(capsys):
+    code, _, err = run_cli(capsys, "chain", "--max-steps", "0", "x", "1")
+    assert code == 1
+    assert "max_steps must be positive" in err

@@ -175,7 +175,18 @@ def test_eval_mod_is_crt_of_prime_power_residues(spec, h, n):
     h = tuple(h)
     t = spec.eval_mod(h, n)
     assert t == _eval_mod_reference(h, spec, n)
-    assert (t == 0) == RingContext(spec).is_member(RingElement(h, n))
+    e = RingElement(h, n)
+    ctx = RingContext(spec)
+    assert (t == 0) == ctx.is_member(e)
+    assert ctx.membership_witness(e) == _witness_reference(e, spec)
+
+
+def _witness_reference(e, spec):
+    for p, v in factorize(e.den):
+        r = poly_eval_mod(e.num, spec, p, v).value
+        if r:
+            return p, v, r
+    return None
 
 
 def test_concurrent_queries_agree():

@@ -19,7 +19,9 @@ from quasieuclid import (
     phi,
     poly_eval_mod,
     stream,
+    zero,
 )
+from quasieuclid.adversary import integer_mod
 
 TAUS = [constant(0), constant(1), constant(5), stream(42), log_generic(7)]
 
@@ -77,11 +79,30 @@ def test_make_element_error_payload():
     assert (err.prime, err.precision, err.residue) == (3, 1, 1)
 
 
-def test_membership_is_memoized_and_stable():
+def test_membership_is_stable():
     ctx = RingContext(constant(0))
     e = RingElement((0, 1), 2)
     assert ctx.is_member(e) and ctx.is_member(e)
-    assert ctx._members[e] is True
+
+
+# the product of the primes 2^31 - 1 and 2147483629: trial division would
+# take minutes, so a constant tau must answer without factoring it
+SEMIPRIME = 2147483647 * 2147483629
+
+
+@pytest.mark.parametrize("tau, z", [(constant(1), 1), (constant(5), 5), (zero(), 0)])
+def test_constant_tau_never_factors(monkeypatch, tau, z):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr("quasieuclid.padic.factorize", refuse)
+    monkeypatch.setattr("quasieuclid.ring.factorize", refuse)
+    ctx = RingContext(tau)
+    assert ctx.is_member(RingElement((0, 1), SEMIPRIME)) == (z == 0)
+    n = as_element(SEMIPRIME)
+    p, s = ctx.divmod(X, n)
+    assert p == RingElement((-z, 1), SEMIPRIME) and s == as_element(z)
+    assert integer_mod(ctx, X + 3, SEMIPRIME) == z + 3
 
 
 # -- phi ------------------------------------------------------------------------
@@ -228,6 +249,13 @@ def test_qe_chain_step_budget_is_loud():
     ctx = RingContext(constant(0))
     with pytest.raises(StepBudgetExceeded):
         ctx.qe_chain(8, 5, max_steps=1)
+
+
+def test_qe_chain_rejects_nonpositive_step_budget():
+    ctx = RingContext(constant(0))
+    for max_steps in (0, -1):
+        with pytest.raises(ValueError, match="max_steps must be positive"):
+            ctx.qe_chain(8, 5, max_steps=max_steps)
 
 
 def test_qe_chain_zero_dividend():
