@@ -37,6 +37,7 @@ from .classify import (
     scan_sh,
 )
 from .padic import (
+    FactorBudgetExceeded,
     HenselLiftError,
     PredicateTau,
     ResidueClass,
@@ -66,6 +67,7 @@ __all__ = [
     "ChainComparison",
     "ComparisonRow",
     "DivisionChain",
+    "FactorBudgetExceeded",
     "HenselLiftError",
     "NonUfdWitness",
     "NormTuple",

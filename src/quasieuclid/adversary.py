@@ -70,7 +70,11 @@ def integer_mod(ctx: RingContext, b: RingElement, d: int) -> int:
     """
     if d < 1:
         raise ValueError("modulus must be positive")
-    b = ctx.make_element(as_element(b))
+    return _member_mod(ctx, ctx.make_element(as_element(b)), d)
+
+
+def _member_mod(ctx: RingContext, b: RingElement, d: int) -> int:
+    """integer_mod for a b already checked to be a member and d >= 1."""
     t = ctx.tau.eval_mod(b.num, b.den * d)
     if t % b.den:
         raise RuntimeError("membership of b contradicts its residue (bug)")
@@ -88,7 +92,7 @@ def adversarial_pair(ctx: RingContext, k: int, b: RingElement) -> RingElement:
         return -adversarial_pair(ctx, k, -b)
     ctx.make_element(b)
     c, d = fib_pair_for(k)
-    beta = integer_mod(ctx, b, d)
+    beta = _member_mod(ctx, b, d)
     a = RingElement((c,), d) * (b - beta)
     ctx.make_element(a)
     return a

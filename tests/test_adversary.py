@@ -3,6 +3,7 @@ import pytest
 from quasieuclid import (
     X,
     ZERO,
+    NotMemberError,
     RingContext,
     RingElement,
     adversarial_pair,
@@ -115,6 +116,27 @@ def test_adversarial_pair_examples():
 def test_adversarial_pair_rejects_constants():
     with pytest.raises(ValueError):
         adversarial_pair(RingContext(constant(0)), 1, as_element(5))
+
+
+def test_adversarial_pair_validates_b_and_a_once(monkeypatch):
+    seen = []
+    witness = RingContext.membership_witness
+
+    def counting(self, e):
+        seen.append(e)
+        return witness(self, e)
+
+    monkeypatch.setattr(RingContext, "membership_witness", counting)
+    b = RingElement((3, 1, 2))
+    a = adversarial_pair(RingContext(stream(42)), 3, b)
+    assert seen == [b, a]
+
+
+def test_adversarial_pair_checks_membership_before_k():
+    with pytest.raises(NotMemberError):
+        adversarial_pair(RingContext(constant(1)), 0, RingElement((0, 1), 2))
+    with pytest.raises(ValueError, match="k must be positive"):
+        adversarial_pair(RingContext(constant(0)), 0, RingElement((0, 1), 2))
 
 
 def test_adversarial_pair_negates_cleanly():

@@ -311,3 +311,15 @@ def test_chain_rejects_nonpositive_max_steps(capsys):
     code, _, err = run_cli(capsys, "chain", "--max-steps", "0", "x", "1")
     assert code == 1
     assert "max_steps must be positive" in err
+
+
+def test_factoring_budget_exits_1_without_traceback():
+    # (2^61 - 1)(10^18 + 9): two 60-bit primes, far past the rho budget
+    proc = _run_module(
+        "member", "--tau", '{"kind":"stream","seed":42}', "x/2305843009213693971752587082923245559"
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "rho iterations" in proc.stderr
+    assert "Traceback" not in proc.stderr

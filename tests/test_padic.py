@@ -1,10 +1,12 @@
+import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasieuclid import (
+    FactorBudgetExceeded,
     HenselLiftError,
     PredicateTau,
     ResidueClass,
@@ -17,6 +19,7 @@ from quasieuclid import (
     hensel_lift,
     is_prime,
     log_generic,
+    padic,
     piecewise,
     poly_eval_mod,
     primes_upto,
@@ -74,6 +77,103 @@ def test_factorize_multiplies_back():
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
+
+
+# Strong Lucas pseudoprimes with Selfridge's parameters (OEIS A217255).
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
+
+
+@pytest.mark.parametrize("n", STRONG_LUCAS_PSEUDOPRIMES)
+def test_strong_lucas_pseudoprimes_pass_lucas_but_not_is_prime(n):
+    assert padic._is_strong_lucas_prp(n)
+    assert not is_prime(n)
+
+
+def test_strong_lucas_against_sympy():
+    primetest = pytest.importorskip("sympy.ntheory.primetest")
+    for n in range(3, 20001, 2):
+        assert padic._is_strong_lucas_prp(n) == primetest.is_strong_lucas_prp(n), n
+
+
+def test_is_prime_above_the_deterministic_range():
+    # past 3.3e24 the Miller-Rabin bases are no proof; BPSW adds Lucas
+    m89 = 2**89 - 1
+    assert m89 > padic._PSI_13 and is_prime(m89)
+    assert not is_prime(m89 * (2**61 - 1))
+    assert factorize(6 * m89) == ((2, 1), (3, 1), (m89, 1))
+
+
+def test_is_prime_cache_is_bounded():
+    assert is_prime.cache_info().maxsize is not None
+
+
+def _prime_from(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _bits(lo, hi):
+    return st.integers(lo, hi).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b))
+
+
+# Below the trial bound, in rho's range (20-40 bits, up to cubes), and one
+# large prime up to 2^80 that only a primality test can certify.  Two
+# 40-bit primes take rho up to half of RHO_BUDGET on an unlucky draw, so the
+# examples are derandomized: the same ones run every time.
+SMALL_FACTOR = st.tuples(st.sampled_from(primes_upto(padic._TRIAL_BOUND)), st.integers(1, 4))
+RHO_FACTOR = st.tuples(_bits(20, 40).map(_prime_from), st.integers(1, 3))
+FACTORS = st.tuples(
+    st.lists(SMALL_FACTOR, max_size=4),
+    st.lists(RHO_FACTOR, max_size=2),
+    st.lists(_bits(41, 80).map(_prime_from), max_size=1),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(FACTORS)
+@example(([(3, 1), (11, 1), (17, 1)], [], []))  # Carmichael numbers
+@example(([(7, 1), (11, 1), (13, 1), (41, 1)], [], []))
+@example(([(5, 1), (7, 1), (17, 1), (19, 1), (73, 1)], [], []))
+@example(([], [(399165290221, 1), (798330580441, 1)], []))  # psi_12
+@example(([], [(1009, 2)], []))
+@example(([], [(1000003, 3)], [2**61 - 1]))
+def test_factorize_products_of_known_primes(parts):
+    small, mid, large = parts
+    expected: dict[int, int] = {}
+    for p, e in [*small, *mid, *((p, 1) for p in large)]:
+        expected[p] = expected.get(p, 0) + e
+    n = 1
+    for p, e in expected.items():
+        n *= p**e
+    fac = factorize(n)
+    prod = 1
+    for p, e in fac:
+        assert is_prime(p)
+        prod *= p**e
+    assert prod == n
+    assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+    assert fac == tuple(sorted(expected.items()))
+
+
+def test_factorize_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20260)
+    numbers = [rng.randrange(1, 2**64) for _ in range(500)]
+    numbers += [
+        rng.randrange(1, 2**24) * rng.randrange(1, 2**24) * rng.randrange(1, 2**32)
+        for _ in range(100)
+    ]
+    for n in numbers:
+        assert dict(factorize(n)) == sympy.factorint(n), n
+
+
+def test_factorize_budget_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(padic, "RHO_BUDGET", 1000)
+    n = 1000000007 * 998244353
+    with pytest.raises(FactorBudgetExceeded, match="rho iterations"):
+        factorize(n)
+    assert issubclass(FactorBudgetExceeded, ValueError)
 
 
 # -- residues -----------------------------------------------------------------
