@@ -104,16 +104,16 @@ def degree_retention_check(ctx: RingContext, k: int, a: RingElement, b: RingElem
 
     (a, b) must come from adversarial_pair with b > 0; a is re-derived and
     checked so the reported (c, d, beta) always describe the given pair.
+    The chain validates a and b, once each, before beta is read from b.
     """
     a, b = as_element(a), as_element(b)
     if not b > ZERO:
         raise ValueError("b must be positive; negate the pair first")
     c, d = fib_pair_for(k)
-    beta = integer_mod(ctx, b, d)
-    expected = RingElement((c,), d) * (b - beta)
-    if a != expected:
-        raise ValueError("pair (a, b) was not produced by adversarial_pair")
     qe = ctx.qe_chain(a, b)
+    beta = _member_mod(ctx, b, d)
+    if a != RingElement((c,), d) * (b - beta):
+        raise ValueError("pair (a, b) was not produced by adversarial_pair")
     need = 2 * k
     degrees = tuple(r.degree for r in qe.remainders[:need])
     verdict = len(degrees) == need and all(dg >= b.degree for dg in degrees)

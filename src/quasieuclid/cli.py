@@ -110,7 +110,8 @@ def _load_tau(args) -> TauSpec:
     if text is not None:
         try:
             return tau_from_json(json.loads(text))
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, ValueError, KeyError, TypeError, RecursionError) as exc:
+            # RecursionError: JSON nested too deep for the decoder itself
             raise UsageError(f"bad tau spec: {exc}")
     if args.seed is not None:
         return stream(args.seed)

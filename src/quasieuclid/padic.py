@@ -28,6 +28,7 @@ under the GIL.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import math
@@ -459,6 +460,41 @@ class StreamTau(TauSpec):
         return {"kind": "stream", "seed": self.seed}
 
 
+# _EXP_CEIL[n - 1] is the least integer above e^n; grown on demand by
+# _floor_ln.  A racing grower builds the same tuple, so sharing it is safe.
+_EXP_CEIL: tuple[int, ...] = ()
+
+
+def _ceil_exp(n: int) -> int:
+    """The least integer above e^n, for n >= 1 (e^n is irrational).
+
+    With m!·e^n = A + tail, A = sum of n^j·m!/j! over j <= m, the tail lies
+    in (0, B] for B = n^(m+1)·(m+2) / ((m+1)·(m+2-n)); m grows until
+    A/m! and (A+B)/m! have the same integer part."""
+    m = 2 * n + 8
+    while True:
+        fact = math.factorial(m)
+        term, a = fact, 0
+        for j in range(m + 1):
+            a += term
+            term = term * n // (j + 1)  # n^(j+1)·m!/(j+1)!, exact for j < m
+        b = -(-n ** (m + 1) * (m + 2) // ((m + 1) * (m + 2 - n)))
+        if a // fact == (a + b) // fact:
+            return a // fact + 1
+        m *= 2
+
+
+def _floor_ln(p: int) -> int:
+    """floor(ln p) for p >= 1 in integers: the count of n >= 1 with
+    ceil(e^n) <= p."""
+    global _EXP_CEIL
+    table = _EXP_CEIL
+    while not table or table[-1] <= p:
+        table += (_ceil_exp(len(table) + 1),)
+    _EXP_CEIL = table
+    return bisect.bisect_right(table, p)
+
+
 class LogGenericTau(TauSpec):
     """First digit floor(ln p), remaining digits from a seeded stream.
 
@@ -474,7 +510,7 @@ class LogGenericTau(TauSpec):
         self.seed = int(seed)
 
     def _residue(self, p: int, k: int) -> int:
-        v = math.floor(math.log(p))
+        v = _floor_ln(p)
         for i in range(1, k):
             v += _stream_digit(self.seed, p, i) * p**i
         return v
@@ -614,12 +650,40 @@ def piecewise(overrides: Mapping[int, TauSpec], default: TauSpec) -> TauSpec:
     return PiecewiseTau(overrides, default)
 
 
+# The fields of each kind of tau spec JSON besides "kind"; any other key is
+# rejected, and so is nesting deeper than _TAU_MAX_DEPTH specs.
+_TAU_FIELDS = {
+    "constant": {"value"},
+    "zero": set(),
+    "stream": {"seed"},
+    "log_generic": {"seed"},
+    "hensel": {"poly", "fallback"},
+    "piecewise": {"overrides", "default"},
+}
+_TAU_MAX_DEPTH = 64
+
+
 def tau_from_json(data: Mapping) -> TauSpec:
-    """Rebuild a spec from its JSON description."""
+    """Rebuild a spec from its JSON description.
+
+    Raises ValueError for an unknown kind or field, an integer field that
+    is not an exact int, an override key that is not a decimal string, or
+    specs nested more than _TAU_MAX_DEPTH deep."""
+    return _tau_from_json(data, 1)
+
+
+def _tau_from_json(data: Mapping, depth: int) -> TauSpec:
+    if depth > _TAU_MAX_DEPTH:
+        raise ValueError(f"tau spec is nested more than {_TAU_MAX_DEPTH} levels deep")
     try:
         kind = data["kind"]
     except (TypeError, KeyError):
         raise ValueError("tau spec JSON must be an object with a 'kind' field")
+    if not isinstance(kind, str) or kind not in _TAU_FIELDS:
+        raise ValueError(f"unknown tau spec kind {kind!r}")
+    unknown = set(data) - _TAU_FIELDS[kind] - {"kind"}
+    if unknown:
+        raise ValueError(f"unknown field(s) {sorted(unknown)} in a {kind!r} tau spec")
     # only exact integers: bool is an int subclass, and int() truncates or parses
     key = "value" if kind == "constant" else "seed" if kind in ("stream", "log_generic") else None
     if key is not None and type(data[key]) is not int:
@@ -636,13 +700,18 @@ def tau_from_json(data: Mapping) -> TauSpec:
         poly = data["poly"]
         if not isinstance(poly, list) or any(type(c) is not int for c in poly):
             raise ValueError(f"hensel 'poly' must be a list of integers, got {poly!r}")
-        return HenselTau(poly, tau_from_json(data["fallback"]))
-    if kind == "piecewise":
-        if not isinstance(data["overrides"], Mapping):
-            raise ValueError("piecewise 'overrides' must be an object")
-        overrides = {int(p): tau_from_json(s) for p, s in data["overrides"].items()}
-        return PiecewiseTau(overrides, tau_from_json(data["default"]))
-    raise ValueError(f"unknown tau spec kind {kind!r}")
+        return HenselTau(poly, _tau_from_json(data["fallback"], depth + 1))
+    # piecewise
+    if not isinstance(data["overrides"], Mapping):
+        raise ValueError("piecewise 'overrides' must be an object")
+    overrides = {}
+    for p, sub in data["overrides"].items():
+        # keys are decimal strings as to_json writes them: no sign, space,
+        # leading zero, point or non-ASCII digit
+        if not (isinstance(p, str) and p.isascii() and p.isdigit() and p == str(int(p))):
+            raise ValueError(f"piecewise override key {p!r} must be an integer in decimal")
+        overrides[int(p)] = _tau_from_json(sub, depth + 1)
+    return PiecewiseTau(overrides, _tau_from_json(data["default"], depth + 1))
 
 
 # --------------------------------------------------------------------------

@@ -63,17 +63,26 @@ class RingElement:
         if den < 0:
             den = -den
             num = [-c for c in num]
+        e = self._from_normal(num, den)
+        self._num: tuple[int, ...] = e._num
+        self._den: int = e._den
+
+    @classmethod
+    def _from_normal(cls, num: Sequence[int], den: int) -> "RingElement":
+        """The element num/den for int coefficients and den > 0, with no
+        validation: strips trailing zeros and divides out gcd(content, den).
+        Every result built inside the library comes through here."""
         tup = _strip(num)
+        e = object.__new__(cls)
         if not tup:
-            self._num: tuple[int, ...] = ()
-            self._den = 1
-            return
+            e._num, e._den = (), 1
+            return e
         g = math.gcd(_content(tup), den)
         if g > 1:
             tup = tuple(c // g for c in tup)
             den //= g
-        self._num = tup
-        self._den = den
+        e._num, e._den = tup, den
+        return e
 
     # -- structure ---------------------------------------------------------
 
@@ -118,7 +127,7 @@ class RingElement:
         if isinstance(value, RingElement):
             return value
         if isinstance(value, int) and not isinstance(value, bool):
-            return RingElement((value,))
+            return RingElement._from_normal((value,), 1)
         if isinstance(value, Fraction):
             return RingElement((value,))
         return None
@@ -131,7 +140,7 @@ class RingElement:
         l = self._den // g * o._den
         fa, fb = l // self._den, l // o._den
         coeffs = [fa * x + fb * y for x, y in zip_longest(self._num, o._num, fillvalue=0)]
-        return RingElement(coeffs, l)
+        return RingElement._from_normal(coeffs, l)
 
     __radd__ = __add__
 
@@ -158,7 +167,7 @@ class RingElement:
             if a:
                 for j, b in enumerate(o._num):
                     out[i + j] += a * b
-        return RingElement(out, self._den * o._den)
+        return RingElement._from_normal(out, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -172,7 +181,7 @@ class RingElement:
         return self
 
     def __abs__(self) -> "RingElement":
-        return -self if self.lc < 0 else self
+        return -self if self._num and self._num[-1] < 0 else self
 
     def __pow__(self, exponent: int) -> "RingElement":
         if not isinstance(exponent, int) or exponent < 0:
@@ -205,7 +214,7 @@ class RingElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).lc < 0
+        return _cmp(self, o) < 0
 
     def __hash__(self) -> int:
         return hash((self._num, self._den))
@@ -239,30 +248,68 @@ def as_element(value) -> RingElement:
     return e
 
 
+def _cmp(a: RingElement, b: RingElement) -> int:
+    # The sign of a - b without building it: the higher degree decides by
+    # its leading sign; at equal degree, the first coefficient from the top
+    # that differs, compared across the two denominators.
+    an, bn = a._num, b._num
+    if len(an) != len(bn):
+        if len(an) > len(bn):
+            return 1 if an[-1] > 0 else -1
+        return -1 if bn[-1] > 0 else 1
+    ad, bd = a._den, b._den
+    for i in range(len(an) - 1, -1, -1):
+        x, y = an[i] * bd, bn[i] * ad
+        if x != y:
+            return 1 if x > y else -1
+    return 0
+
+
 def compare(a: RingElement, b: RingElement) -> int:
     """Sign of a - b in the discrete order: -1, 0, or +1."""
-    t = (as_element(a) - as_element(b)).lc
-    return (t > 0) - (t < 0)
+    return _cmp(as_element(a), as_element(b))
 
 
 def qdiv(q: RingElement, r: RingElement) -> tuple[RingElement, RingElement]:
-    """Classical division in Q[x]: q = quot*r + rem with deg rem < deg r."""
+    """Classical division in Q[x]: q = quot*r + rem with deg rem < deg r.
+
+    Integer pseudo-division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R) on the
+    numerators Q and R: rem and quo share one running denominator D, and a
+    step whose leading term t is not a multiple of lc(R) first scales both
+    by |lc(R)|/gcd(t, lc(R)).  Then Q = (quo/D)*R + rem/D, and with q = Q/n,
+    r = R/m the results are m*quo/(n*D) and rem/(n*D).
+    """
     if r.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    dr = r.degree
-    if q.degree < dr:
+    rn = r.num
+    dr = len(rn) - 1
+    shift = len(q.num) - 1 - dr
+    if shift < 0:
         return ZERO, q
-    rem = [Fraction(c, q.den) for c in q.num]
-    rfrac = [Fraction(c, r.den) for c in r.num]
-    lead = rfrac[-1]
-    quot = [Fraction(0)] * (q.degree - dr + 1)
-    for i in range(q.degree - dr, -1, -1):
-        c = rem[i + dr] / lead
-        if c:
-            quot[i] = c
-            for j in range(dr + 1):
-                rem[i + j] -= c * rfrac[j]
-    return RingElement(quot), RingElement(rem[:dr])
+    lead = rn[-1]
+    rem = list(q.num)
+    quo = [0] * (shift + 1)
+    den = 1
+    for i in range(shift, -1, -1):
+        t = rem[i + dr]
+        if not t:
+            continue
+        s = abs(lead) // math.gcd(t, lead)
+        if s > 1:
+            den *= s
+            for j in range(i + dr + 1):
+                rem[j] *= s
+            for j in range(i + 1, shift + 1):
+                quo[j] *= s
+            t *= s
+        c = t // lead
+        quo[i] = c
+        for j in range(dr + 1):
+            rem[i + j] -= c * rn[j]
+    den *= q.den
+    if r.den != 1:
+        quo = [r.den * c for c in quo]
+    return RingElement._from_normal(quo, den), RingElement._from_normal(rem[:dr], den)
 
 
 # --------------------------------------------------------------------------

@@ -107,10 +107,10 @@ class RingContext:
         q, r = as_element(q), as_element(r)
         if r.is_zero:
             raise ZeroDivisionError("division by zero in the ring")
-        if r < ZERO:
+        if r.num[-1] < 0:
             p, s = self.divmod(q, -r)
             return -p, s
-        if q >= ZERO:
+        if not q.num or q.num[-1] > 0:
             return self._divmod_nonneg(q, r)
         p, s = self._divmod_nonneg(-q, r)
         if s.is_zero:
@@ -124,10 +124,10 @@ class RingContext:
         pt, st = qdiv(q, r)
         k = self.tau.eval_mod(pt.num, pt.den)
         if k == 0:
-            if st.lc < 0:
+            if st.num and st.num[-1] < 0:
                 return pt - ONE, st + r
             return pt, st
-        shift = RingElement((k,), pt.den)
+        shift = RingElement._from_normal((k,), pt.den)
         return pt - shift, st + shift * r
 
     # -- chains, gcd, divisibility -----------------------------------------

@@ -132,6 +132,22 @@ def test_adversarial_pair_validates_b_and_a_once(monkeypatch):
     assert seen == [b, a]
 
 
+def test_degree_retention_validates_a_and_b_once(monkeypatch):
+    seen = []
+    witness = RingContext.membership_witness
+
+    def counting(self, e):
+        seen.append(e)
+        return witness(self, e)
+
+    ctx = RingContext(stream(42))
+    b = RingElement((3, 1, 2))
+    a = adversarial_pair(ctx, 3, b)
+    monkeypatch.setattr(RingContext, "membership_witness", counting)
+    assert degree_retention_check(ctx, 3, a, b).verdict
+    assert seen == [a, b]
+
+
 def test_adversarial_pair_checks_membership_before_k():
     with pytest.raises(NotMemberError):
         adversarial_pair(RingContext(constant(1)), 0, RingElement((0, 1), 2))

@@ -251,6 +251,55 @@ def test_piecewise_overrides_list_is_usage_error():
     assert "Traceback" not in proc.stderr
 
 
+def _nested_tau(depth):
+    # depth specs in all: hensel fallbacks around a zero tau
+    head = '{"kind":"hensel","poly":[-2,0,1],"fallback":'
+    return head * (depth - 1) + '{"kind":"zero"}' + "}" * (depth - 1)
+
+
+def test_tau_json_nesting_cap():
+    assert _run_module("member", "--tau", _nested_tau(64), "x/2").returncode == 0
+    for depth in (65, 900):
+        proc = _run_module("member", "--tau", _nested_tau(depth), "x/2")
+        assert proc.returncode == 2
+        assert "nested more than 64 levels" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_tau_json_too_deep_for_the_decoder(tmp_path):
+    path = tmp_path / "tau.json"
+    path.write_text(_nested_tau(5000))
+    proc = _run_module("member", "--tau-file", str(path), "x/2")
+    assert proc.returncode == 2
+    assert "bad tau spec" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [
+        {"kind": "zero", "bogus": 1},
+        {"kind": "stream", "seed": 1, "value": 2},
+        {"kind": "piecewise", "overrides": {}, "default": {"kind": "zero"}, "extra": None},
+    ],
+    ids=["zero", "stream", "piecewise"],
+)
+def test_tau_json_unknown_keys_are_usage_errors(tau):
+    proc = _run_module("member", "--tau", json.dumps(tau), "x/2")
+    assert proc.returncode == 2
+    assert "unknown field" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["2.0", " 7", "07", "+7", "7_0"])
+def test_tau_json_override_keys_are_canonical(key):
+    tau = {"kind": "piecewise", "overrides": {key: {"kind": "zero"}}, "default": {"kind": "zero"}}
+    proc = _run_module("member", "--tau", json.dumps(tau), "x/2")
+    assert proc.returncode == 2
+    assert f"override key {key!r} must be an integer in decimal" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_norm_walk_demo(capsys, tmp_path):
     table = {"x": 5, "2x/3": 4}
     path = tmp_path / "norms.json"

@@ -1,5 +1,9 @@
+import math
 import random
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from decimal import ROUND_CEILING, Context
 
 import pytest
 from hypothesis import example, given, settings
@@ -392,6 +396,30 @@ def test_crt_empty():
     assert crt_combine([]) == (0, 1)
 
 
+# -- floor(ln p) for log_generic ----------------------------------------------------
+
+
+def test_floor_ln_matches_math_log_below_a_million():
+    for p in primes_upto(10**6):
+        assert padic._floor_ln(p) == math.floor(math.log(p)), p
+
+
+def test_floor_ln_either_side_of_exp_n():
+    # 60 significant digits leave over 30 after the point of e^60
+    ctx = Context(prec=60)
+    for n in range(1, 61):
+        above = int(ctx.exp(n).to_integral_value(rounding=ROUND_CEILING))
+        assert padic._ceil_exp(n) == above
+        assert padic._floor_ln(above) == n
+        assert padic._floor_ln(above - 1) == n - 1
+
+
+def test_floor_ln_thresholds_are_not_built_at_import():
+    code = "import quasieuclid.padic as p; print(p._EXP_CEIL)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "()\n"
+
+
 # -- serialization -----------------------------------------------------------------
 
 
@@ -434,3 +462,23 @@ def test_tau_json_rejects_unknown():
         tau_from_json({"kind": "mystery"})
     with pytest.raises(ValueError):
         tau_from_json("zero")
+    with pytest.raises(ValueError, match="unknown field"):
+        tau_from_json({"kind": "zero", "bogus": 1})
+    with pytest.raises(ValueError, match="unknown tau spec kind"):
+        tau_from_json({"kind": ["zero"]})
+
+
+def test_tau_json_depth_cap():
+    spec = zero()
+    for _ in range(63):
+        spec = hensel((1, 0, 1), spec)
+    assert tau_from_json(spec.to_json()).to_json() == spec.to_json()
+    with pytest.raises(ValueError, match="nested more than 64 levels"):
+        tau_from_json(hensel((1, 0, 1), spec).to_json())
+
+
+def test_tau_json_override_keys_must_be_decimal():
+    for key in ("2.0", " 7", "07", "+7", 7):
+        data = {"kind": "piecewise", "overrides": {key: {"kind": "zero"}}, "default": {"kind": "zero"}}
+        with pytest.raises(ValueError, match="must be an integer in decimal"):
+            tau_from_json(data)

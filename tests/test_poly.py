@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,14 @@ elements = st.builds(
     RingElement,
     st.lists(st.integers(-9, 9), max_size=5),
     st.integers(1, 60),
+)
+
+# Large coefficients and denominators, degree up to 8: pseudo-division
+# scales its running denominator at almost every step on these.
+big_elements = st.builds(
+    RingElement,
+    st.lists(st.integers(-(2**64), 2**64), max_size=9),
+    st.integers(1, 10**6),
 )
 
 
@@ -159,6 +168,83 @@ def test_qdiv_round_trip(q, r):
     quot, rem = qdiv(q, r)
     assert quot * r + rem == q
     assert rem.degree < r.degree
+
+
+def test_qdiv_scales_when_the_leading_coefficient_does_not_divide():
+    # x^2 = (x/2 - 3/4)(2x + 3) + 9/4
+    q, r = qdiv(RingElement((0, 0, 1)), RingElement((3, 2)))
+    assert (q, r) == (RingElement((-3, 2), 4), RingElement((9,), 4))
+    # (5x^3 + 1)/7 = ((75x + 50)/126)·(6x^2 - 4x)/5 + (20x + 9)/63
+    q, r = qdiv(RingElement((1, 0, 0, 5), 7), RingElement((0, -4, 6), 5))
+    assert (q, r) == (RingElement((50, 75), 126), RingElement((9, 20), 63))
+
+
+# -- the integer core against a Fraction reference ---------------------------------
+
+
+def _fractions(e):
+    return [Fraction(c, e.den) for c in e.num]
+
+
+def _reference_qdiv(q, r):
+    """Schoolbook division over Fraction coefficients."""
+    rem, rf = _fractions(q), _fractions(r)
+    dr = len(rf) - 1
+    quot = [Fraction(0)] * max(len(rem) - dr, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + dr] / rf[-1]
+        quot[i] = c
+        for j, x in enumerate(rf):
+            rem[i + j] -= c * x
+    return RingElement(quot), RingElement(rem[:dr])
+
+
+def _reference_sign(a, b):
+    """Sign of the leading coefficient of a - b, over Fractions."""
+    diff = [x - y for x, y in zip_longest(_fractions(a), _fractions(b), fillvalue=0)]
+    while diff and diff[-1] == 0:
+        diff.pop()
+    return (diff[-1] > 0) - (diff[-1] < 0) if diff else 0
+
+
+def _assert_normal(e):
+    n = RingElement(e.num, e.den)
+    assert type(e.num) is tuple and (e.num, e.den) == (n.num, n.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_elements, big_elements)
+def test_qdiv_matches_fraction_reference(q, r):
+    if r.is_zero:
+        return
+    assert qdiv(q, r) == _reference_qdiv(q, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_elements, big_elements)
+def test_order_matches_fraction_reference(a, b):
+    sign = _reference_sign(a, b)
+    assert compare(a, b) == sign
+    assert (a < b) == (sign < 0) and (a > b) == (sign > 0)
+    assert compare(a, a) == 0 and not a < a
+    assert (a < 0) == (_reference_sign(a, ZERO) < 0)
+
+
+def test_order_at_equal_degree_walks_down_from_the_top():
+    assert RingElement((1, 2), 3) < RingElement((2, 2), 3)
+    assert RingElement((5, 1), 2) > RingElement((7, 1), 3)
+    assert compare(RingElement((1, 2, 3)), RingElement((2, 4, 6), 2)) == 0
+    assert compare(RingElement((0, -1)), 10**30) == -1
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_elements, big_elements)
+def test_results_are_in_normal_form(a, b):
+    results = [a + b, a - b, a - a, a * b, -a, abs(a), a + 3, 3 - a, 6 * a, a * 0]
+    if not b.is_zero:
+        results += qdiv(a, b)
+    for e in results:
+        _assert_normal(e)
 
 
 # -- text form -----------------------------------------------------------------
