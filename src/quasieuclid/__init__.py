@@ -10,7 +10,6 @@ from .adversary import (
     AdversaryReport,
     adversarial_pair,
     degree_retention_check,
-    fib_pair_for,
     hat,
     integer_mod,
 )
@@ -20,6 +19,7 @@ from .chains import (
     DivisionChain,
     build_chain,
     compare_to_qe,
+    fib_pair_for,
     fibonacci,
     fibonacci_witness,
     normalize_positive,

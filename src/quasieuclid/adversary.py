@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import _euclid_trace, fibonacci
+from .chains import fib_pair_for
 from .poly import ZERO, RingElement, as_element
 from .ring import RingContext
 
@@ -44,21 +44,6 @@ class AdversaryReport:
             "degrees": list(self.degrees),
             "verdict": self.verdict,
         }
-
-
-def fib_pair_for(k: int) -> tuple[int, int]:
-    """Consecutive Fibonacci numbers (c, d) whose integer division chain is
-    longer than 2k, so no integer chain of length <= k from (c, d)
-    terminates.  The length requirement is asserted at runtime rather than
-    trusted from the index arithmetic."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    m = 2 * k + 2
-    while True:
-        c, d = fibonacci(m + 1), fibonacci(m)
-        if len(_euclid_trace(c, d)) > 2 * k:
-            return c, d
-        m += 1
 
 
 def integer_mod(ctx: RingContext, b: RingElement, d: int) -> int:

@@ -3,14 +3,15 @@ comparison of arbitrary chains against the canonical div/mod chain.
 
 A chain from (a, b) is determined by its quotient sequence; remainders
 follow from r_1 = a - q_1 b and r_{i+1} = r_{i-1} - q_{i+1} r_i.  DivisionChain
-takes only (a, b, quotients) and derives the remainders itself, so the
-recurrence holds by construction and every transformation below is a
-rewrite of the quotient tuple alone.
+takes only (a, b, quotients) and derives the remainders on first read, then
+caches them, so the recurrence holds by construction and every
+transformation below is a rewrite of the quotient tuple alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .poly import ZERO, ONE, RingElement, as_element
@@ -23,26 +24,29 @@ if TYPE_CHECKING:  # pragma: no cover
 class DivisionChain:
     """The chain from (a, b) with the given quotients; b must be nonzero.
 
-    The remainders are not passed in: they are derived on construction from
-    r_1 = a - q_1 b and r_{i+1} = r_{i-1} - q_{i+1} r_i.  A zero-length
-    chain (no quotients) is allowed; its last remainder is b itself.  The
-    chain is terminating when the last remainder is zero.
+    The remainders are not passed in: they are derived on first read from
+    r_1 = a - q_1 b and r_{i+1} = r_{i-1} - q_{i+1} r_i, then cached.
+    Equality and hashing use (a, b, quotients), which determine them.  A
+    zero-length chain (no quotients) is allowed; its last remainder is b
+    itself.  The chain is terminating when the last remainder is zero.
     """
 
     a: RingElement
     b: RingElement
     quotients: tuple[RingElement, ...]
-    remainders: tuple[RingElement, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.b.is_zero:
             raise ValueError("chain requires b != 0")
+
+    @cached_property
+    def remainders(self) -> tuple[RingElement, ...]:
         rems = []
         prev, cur = self.a, self.b
         for q in self.quotients:
             prev, cur = cur, prev - q * cur
             rems.append(cur)
-        object.__setattr__(self, "remainders", tuple(rems))
+        return tuple(rems)
 
     @property
     def length(self) -> int:
@@ -83,8 +87,6 @@ def build_chain(a, b, quotients: Iterable, ctx: "RingContext | None" = None) -> 
     """
     a, b = as_element(a), as_element(b)
     qs = tuple(as_element(q) for q in quotients)
-    if b.is_zero:
-        raise ValueError("chain requires b != 0")
     if ctx is not None:
         for e in (a, b, *qs):
             ctx.make_element(e)
@@ -149,22 +151,19 @@ def rewrite_measure(c: DivisionChain) -> tuple[int, int]:
 def normalize_steps(c: DivisionChain) -> Iterator[tuple[str, DivisionChain]]:
     """Yield ("t1"|"t2", chain) rewrite steps until the tail is positive.
 
-    Zero quotients are removed before negative ones whenever both occur.
+    Zero quotients are removed before negative ones: t2 is tried before t1,
+    and the walk stops when both return the chain unchanged.
     """
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100_000:
-            raise RuntimeError("chain normalization failed to terminate (bug)")
-        qs = c.quotients
-        if any(qs[j].is_zero for j in range(1, len(qs))):
-            c = t2(c)
-            yield "t2", c
-        elif any(qs[j] < ZERO for j in range(1, len(qs))):
-            c = t1(c)
-            yield "t1", c
+    for _ in range(100_000):
+        for op, rewrite in (("t2", t2), ("t1", t1)):
+            out = rewrite(c)
+            if out is not c:
+                break
         else:
             return
+        c = out
+        yield op, c
+    raise RuntimeError("chain normalization failed to terminate (bug)")
 
 
 def normalize_positive(c: DivisionChain) -> DivisionChain:
@@ -274,22 +273,36 @@ def _euclid_trace(a: int, b: int) -> list[int]:
     return out
 
 
+def fib_pair_for(k: int) -> tuple[int, int]:
+    """Consecutive Fibonacci numbers (c, d) whose integer division chain is
+    longer than 2k, so no integer chain of length <= k from (c, d)
+    terminates.  The length requirement is asserted at runtime rather than
+    trusted from the index arithmetic."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    m = 2 * k + 2
+    while True:
+        c, d = fibonacci(m + 1), fibonacci(m)
+        if len(_euclid_trace(c, d)) > 2 * k:
+            return c, d
+        m += 1
+
+
 def fibonacci_witness(
     k: int, pair: tuple[int, int] | None = None
 ) -> tuple[tuple[int, int], DivisionChain]:
     """A consecutive-Fibonacci pair and a length-k chain meeting the
     two-for-one bound with equality: |r_l| = f_{2l} for every l <= k.
 
-    The default pair is (F_{m+1}, F_m) with m = 2k + 2; the chain divides
-    to the nearest multiple, with quotients 2, -3, 3, -3, ...  A supplied
-    pair is rejected when its division chain is too short to cover index
-    2k, or when the standard chain misses the bound on it.
+    The default pair is fib_pair_for(k); the chain divides to the nearest
+    multiple, with quotients 2, -3, 3, -3, ...  A supplied pair is rejected
+    when its division chain is too short to cover index 2k, or when the
+    standard chain misses the bound on it.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if pair is None:
-        m = 2 * k + 2
-        pair = (fibonacci(m + 1), fibonacci(m))
+        pair = fib_pair_for(k)
     big, small = pair
     if not (big > small > 0):
         raise ValueError(f"pair {pair} is not a decreasing positive pair")

@@ -15,7 +15,6 @@ from typing import Callable, Iterable
 from .padic import (
     PredicateTau,
     TauSpec,
-    is_prime,
     piecewise,
     poly_eval_mod,
     primes_upto,
@@ -174,9 +173,4 @@ def make_zero_on(
     """
     if callable(primes):
         return PredicateTau(primes, zero(), base)
-    overrides = {}
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        overrides[p] = zero()
-    return piecewise(overrides, base)
+    return piecewise({p: zero() for p in primes}, base)

@@ -395,6 +395,13 @@ class TauSpec(ABC):
             return f"<TauSpec kind={self.kind!r}>"
 
 
+def _exact_int(name: str, value: int) -> int:
+    # only exact integers: bool is an int subclass, and int() truncates or parses
+    if type(value) is not int:
+        raise ValueError(f"{name!r} must be an integer, got {value!r}")
+    return value
+
+
 class ConstantTau(TauSpec):
     """The canonical image of an integer: tau_p = z for every p."""
 
@@ -402,7 +409,7 @@ class ConstantTau(TauSpec):
 
     def __init__(self, value: int) -> None:
         super().__init__()
-        self.value = int(value)
+        self.value = _exact_int("value", value)
 
     def _residue(self, p: int, k: int) -> int:
         return self.value % p**k
@@ -440,7 +447,7 @@ class StreamTau(TauSpec):
 
     def __init__(self, seed: int) -> None:
         super().__init__()
-        self.seed = int(seed)
+        self.seed = _exact_int("seed", seed)
         self._digits: dict[int, tuple[int, ...]] = {}
 
     def _digit_row(self, p: int, k: int) -> tuple[int, ...]:
@@ -507,7 +514,7 @@ class LogGenericTau(TauSpec):
 
     def __init__(self, seed: int) -> None:
         super().__init__()
-        self.seed = int(seed)
+        self.seed = _exact_int("seed", seed)
 
     def _residue(self, p: int, k: int) -> int:
         v = _floor_ln(p)
@@ -530,7 +537,9 @@ class HenselTau(TauSpec):
 
     def __init__(self, poly: Sequence[int], fallback: TauSpec) -> None:
         super().__init__()
-        self.poly = tuple(int(c) for c in poly)
+        self.poly = tuple(poly)
+        if any(type(c) is not int for c in self.poly):
+            raise ValueError(f"hensel 'poly' must be a list of integers, got {poly!r}")
         self.fallback = fallback
         self._roots: dict[int, int | None] = {}
 
@@ -684,10 +693,6 @@ def _tau_from_json(data: Mapping, depth: int) -> TauSpec:
     unknown = set(data) - _TAU_FIELDS[kind] - {"kind"}
     if unknown:
         raise ValueError(f"unknown field(s) {sorted(unknown)} in a {kind!r} tau spec")
-    # only exact integers: bool is an int subclass, and int() truncates or parses
-    key = "value" if kind == "constant" else "seed" if kind in ("stream", "log_generic") else None
-    if key is not None and type(data[key]) is not int:
-        raise ValueError(f"{key!r} must be an integer, got {data[key]!r}")
     if kind == "constant":
         return ConstantTau(data["value"])
     if kind == "zero":
@@ -698,7 +703,7 @@ def _tau_from_json(data: Mapping, depth: int) -> TauSpec:
         return LogGenericTau(data["seed"])
     if kind == "hensel":
         poly = data["poly"]
-        if not isinstance(poly, list) or any(type(c) is not int for c in poly):
+        if not isinstance(poly, list):
             raise ValueError(f"hensel 'poly' must be a list of integers, got {poly!r}")
         return HenselTau(poly, _tau_from_json(data["fallback"], depth + 1))
     # piecewise

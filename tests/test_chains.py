@@ -1,6 +1,9 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from quasieuclid import (
     ONE,
@@ -59,6 +62,21 @@ def test_build_chain_checks_membership_with_context():
     # same quotient is fine when tau is even
     chain = build_chain(X, as_element(2), [half_x], ctx=CTX)
     assert chain.remainders == (ZERO,)
+    # membership is checked before the chain itself rejects b = 0
+    with pytest.raises(NotMemberError):
+        build_chain(half_x, 0, [], ctx=ctx)
+
+
+def test_remainders_are_derived_on_first_read_and_cached():
+    chain, unread = CTX.qe_chain(13, 8), CTX.qe_chain(13, 8)
+    assert "remainders" not in vars(chain)
+    rems = chain.remainders
+    assert ints(rems) == [5, 3, 2, 1, 0]
+    assert chain.remainders is rems
+    assert "remainders" not in vars(unread)
+    assert chain == unread and hash(chain) == hash(unread)
+    with pytest.raises(FrozenInstanceError):
+        chain.remainders = ()
 
 
 def test_last_remainder_of_empty_chain_is_b():
@@ -172,6 +190,31 @@ def test_normalize_bounds_and_measure_on_random_chains():
         assert abs(final.last_remainder) == abs(c.last_remainder)
         assert final.length <= 2 * c.length - 1
         assert final.length <= c.length + n0
+
+
+def reference_normalize_steps(c):
+    # the selection loop that scans the quotients itself before rewriting
+    while True:
+        qs = c.quotients
+        if any(qs[j].is_zero for j in range(1, len(qs))):
+            c = t2(c)
+            yield "t2", c
+        elif any(qs[j] < ZERO for j in range(1, len(qs))):
+            c = t1(c)
+            yield "t1", c
+        else:
+            return
+
+
+@given(
+    a=st.integers(-50, 50),
+    b=st.integers(-50, 50).filter(bool),
+    quotients=st.lists(st.integers(-3, 3), max_size=12),
+)
+@example(a=X * X + 1, b=X, quotients=[X, 0, -X, 3, 0, 2 - X * X, RingElement((0, -1), 2), -1])
+def test_normalize_steps_matches_reference_selection(a, b, quotients):
+    c = build_chain(a, b, quotients)
+    assert list(normalize_steps(c)) == list(reference_normalize_steps(c))
 
 
 # -- comparison against the canonical chain -----------------------------------------

@@ -457,6 +457,26 @@ def test_tau_json_exact_forms():
     }
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, "3"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (constant, "'value' must be an integer, got {!r}"),
+        (stream, "'seed' must be an integer, got {!r}"),
+        (log_generic, "'seed' must be an integer, got {!r}"),
+        (
+            lambda v: hensel([-2, v, 1], zero()),
+            "hensel 'poly' must be a list of integers, got [-2, {!r}, 1]",
+        ),
+    ],
+    ids=["constant", "stream", "log_generic", "hensel"],
+)
+def test_tau_constructors_take_exact_ints(make, message, bad):
+    with pytest.raises(ValueError) as err:
+        make(bad)
+    assert str(err.value) == message.format(bad)
+
+
 def test_tau_json_rejects_unknown():
     with pytest.raises(ValueError):
         tau_from_json({"kind": "mystery"})
