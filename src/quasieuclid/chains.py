@@ -103,12 +103,17 @@ def t1(c: DivisionChain) -> DivisionChain:
     The offending segment (..., q_i, q_{i+1} < 0, q_{i+2}, ...) becomes
     (..., q_i - 1, 1, -(q_{i+1} + 1), -q_{i+2}, ...); the chain grows by one
     step and the absolute value of the last remainder is unchanged.
-    Identity when no quotient beyond the first is negative.
+    Identity when no quotient beyond the first is negative.  A quotient
+    strictly between -1 and 0 raises ValueError: -(q + 1) would be negative
+    again, so the rewrite measure would not drop.  Ring quotients never lie
+    there, because the ring meets Q in Z.
     """
     qs = c.quotients
     idx = next((j for j in range(1, len(qs)) if qs[j] < ZERO), None)
     if idx is None:
         return c
+    if qs[idx] > -ONE:
+        raise ValueError(f"quotient {qs[idx]} lies strictly between -1 and 0")
     new_q = (
         qs[: idx - 1]
         + (qs[idx - 1] - ONE, ONE, -(qs[idx] + ONE))

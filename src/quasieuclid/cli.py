@@ -29,6 +29,7 @@ class UsageError(Exception):
 _EPILOG = "a polynomial starting with '-' needs -- before it: quasieuclid divmod -- -x^2-1 3x+2"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tau", help="tau spec as inline JSON")

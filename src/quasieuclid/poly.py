@@ -24,13 +24,6 @@ def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(coeffs[:n])
 
 
-def _content(coeffs: Iterable[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-    return g
-
-
 @total_ordering
 class RingElement:
     """A polynomial h/n with h integer and n a positive integer.
@@ -77,7 +70,7 @@ class RingElement:
         if not tup:
             e._num, e._den = (), 1
             return e
-        g = math.gcd(_content(tup), den)
+        g = math.gcd(den, *tup)
         if g > 1:
             tup = tuple(c // g for c in tup)
             den //= g

@@ -100,9 +100,13 @@ class RingContext:
     def divmod(self, q: RingElement, r: RingElement) -> tuple[RingElement, RingElement]:
         """The unique (p, s) in the ring with q = p*r + s and 0 <= s < |r|.
 
-        Both inputs must be ring members with r != 0; the outputs are then
-        members as well.  The remainder always lands in [0, |r|),
-        matching integer div/mod semantics.
+        Both inputs must be ring members with r != 0 (not checked); the
+        outputs are then members as well, matching integer div/mod
+        semantics.  One path serves q of either sign: divide in Q[x], then
+        repair the rational quotient p'/m (lowest terms) by the unique k in
+        [0, m) with k = p'(tau) mod m.  When k = 0 and the Q[x] remainder is
+        negative (deg q < deg r), one more step of r lands it in [0, r).  A
+        negative r divides by -r and negates the quotient.
         """
         q, r = as_element(q), as_element(r)
         if r.is_zero:
@@ -110,17 +114,6 @@ class RingContext:
         if r.num[-1] < 0:
             p, s = self.divmod(q, -r)
             return -p, s
-        if not q.num or q.num[-1] > 0:
-            return self._divmod_nonneg(q, r)
-        p, s = self._divmod_nonneg(-q, r)
-        if s.is_zero:
-            return -p, s
-        return -p - ONE, r - s
-
-    def _divmod_nonneg(self, q: RingElement, r: RingElement) -> tuple[RingElement, RingElement]:
-        # Divide in Q[x], then repair the quotient so that it lands in the
-        # ring: with the rational quotient written as p'/m in lowest terms,
-        # the unique correction k in [0, m) is p'(tau) mod m.
         pt, st = qdiv(q, r)
         k = self.tau.eval_mod(pt.num, pt.den)
         if k == 0:
@@ -160,26 +153,27 @@ class RingContext:
 
         Computed by accumulating the 2x2 elementary step matrices along the
         division chain; on integers this reproduces the extended Euclidean
-        algorithm exactly.
+        algorithm exactly.  A non-member a or b raises NotMemberError, b = 0
+        included.
         """
         a, b = as_element(a), as_element(b)
         if a.is_zero and b.is_zero:
             raise ValueError("gcd(0, 0) is undefined")
         if b.is_zero:
-            g, u = (a, ONE) if a > ZERO else (-a, -ONE)
-            return g, u, ZERO
-        chain = self.qe_chain(a, b)
-        m00, m01, m10, m11 = ONE, ZERO, ZERO, ONE
-        for q in chain.quotients:
-            m00, m01, m10, m11 = m10, m11, m00 - q * m10, m01 - q * m11
-        g, u, v = m00 * a + m01 * b, m00, m01
+            g, u, v = self.make_element(a), ONE, ZERO
+        else:
+            m00, m01, m10, m11 = ONE, ZERO, ZERO, ONE
+            for q in self.qe_chain(a, b).quotients:
+                m00, m01, m10, m11 = m10, m11, m00 - q * m10, m01 - q * m11
+            g, u, v = m00 * a + m01 * b, m00, m01
         if g < ZERO:
             g, u, v = -g, -u, -v
         return g, u, v
 
     def divides(self, a, b) -> bool:
-        """Whether a divides b in the ring: b/a exact in Q[x] and a member."""
-        a, b = as_element(a), as_element(b)
+        """Whether a divides b in the ring: b/a exact in Q[x] and a member.
+        A non-member a or b raises NotMemberError."""
+        a, b = self.make_element(as_element(a)), self.make_element(as_element(b))
         if a.is_zero:
             raise ZeroDivisionError("divisibility by zero is undefined")
         t, rem = qdiv(b, a)

@@ -107,6 +107,15 @@ def test_t1_identity_when_tail_positive():
     assert t1(c) is c
 
 
+def test_t1_rejects_quotient_between_minus_one_and_zero():
+    # -(q + 1) = -1/2 is negative again, so t1 and t2 would cycle forever
+    c = build_chain(X * X + 1, X, [X, -RingElement((1,), 2), 1])
+    with pytest.raises(ValueError, match="strictly between -1 and 0"):
+        t1(c)
+    with pytest.raises(ValueError, match="strictly between -1 and 0"):
+        normalize_positive(c)
+
+
 def test_t2_examples():
     c = build_chain(7, 3, [1, 0, 1])
     rewritten = t2(c)

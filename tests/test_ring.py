@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quasieuclid import (
     ONE,
@@ -15,8 +17,10 @@ from quasieuclid import (
     constant,
     crt_combine,
     factorize,
+    hensel,
     log_generic,
     phi,
+    piecewise,
     poly_eval_mod,
     stream,
     zero,
@@ -177,6 +181,46 @@ def test_divmod_contract_on_random_members():
             assert ctx.is_member(p) and ctx.is_member(s)
             # neighbouring candidates break the remainder range
             assert not (ZERO <= s - r) and not (s + r < abs(r))
+
+
+ALL_TAU_KINDS = TAUS + [
+    hensel((-2, 0, 1), constant(1)),
+    piecewise({2: zero(), 3: constant(1)}, stream(3)),
+]
+
+
+def _flip_divmod(ctx, q, r):
+    # The earlier two-path divmod, kept as the reference: a negative
+    # dividend divides -q, then maps (p, s) to (-p - 1, r - s).
+    if r < ZERO:
+        p, s = _flip_divmod(ctx, q, -r)
+        return -p, s
+    if q >= ZERO:
+        return ctx.divmod(q, r)
+    p, s = ctx.divmod(-q, r)
+    if s.is_zero:
+        return -p, s
+    return -p - ONE, r - s
+
+
+@given(
+    st.sampled_from(ALL_TAU_KINDS),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_divmod_negative_dividends_match_flip_formula(tau, seed, neg_q, neg_r, int_r):
+    ctx = RingContext(tau)
+    rng = random.Random(seed)
+    q = random_member(ctx, rng)
+    r = as_element(rng.randint(1, 60)) if int_r else random_member(ctx, rng)
+    q, r = (-q if neg_q else q), (-r if neg_r else r)
+    p, s = ctx.divmod(q, r)
+    assert (p, s) == _flip_divmod(ctx, q, r)
+    assert p * r + s == q
+    assert ZERO <= s < abs(r)
+    assert ctx.is_member(p) and ctx.is_member(s)
 
 
 def test_norm_descent_on_random_chains():
@@ -344,6 +388,15 @@ def test_gcd_divides_both_in_ring():
             assert ctx.divides(g, a) and ctx.divides(g, b)
 
 
+def test_gcd_with_zero_checks_membership():
+    ctx = RingContext(constant(1))
+    third_x = RingElement((0, 1), 3)
+    with pytest.raises(NotMemberError):
+        ctx.gcd_bezout(third_x, ZERO)
+    with pytest.raises(NotMemberError):
+        ctx.gcd_bezout(ZERO, third_x)
+
+
 def test_gcd_rejects_double_zero():
     with pytest.raises(ValueError):
         RingContext(constant(0)).gcd_bezout(ZERO, ZERO)
@@ -359,3 +412,8 @@ def test_divides_examples():
     assert not RingContext(constant(1)).divides(as_element(3), X)
     with pytest.raises(ZeroDivisionError):
         ctx0.divides(ZERO, X)
+    # x/3 is not a member under tau = 1, whichever side it is on
+    third_x = RingElement((0, 1), 3)
+    for a, b in ((third_x, X), (ONE, third_x)):
+        with pytest.raises(NotMemberError):
+            RingContext(constant(1)).divides(a, b)
