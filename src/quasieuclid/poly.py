@@ -177,7 +177,7 @@ class RingElement:
         return -self if self._num and self._num[-1] < 0 else self
 
     def __pow__(self, exponent: int) -> "RingElement":
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
         result, base, e = ONE, self, exponent
         while e:
@@ -263,24 +263,21 @@ def compare(a: RingElement, b: RingElement) -> int:
     return _cmp(as_element(a), as_element(b))
 
 
-def qdiv(q: RingElement, r: RingElement) -> tuple[RingElement, RingElement]:
-    """Classical division in Q[x]: q = quot*r + rem with deg rem < deg r.
+def _pdiv(qnum: Sequence[int], rnum: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division of the numerators Q = qnum by R = rnum != 0:
+    (quo, rem, D) with D*Q = quo*R + rem, deg rem < deg R and D >= 1.
 
-    Integer pseudo-division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R) on the
-    numerators Q and R: rem and quo share one running denominator D, and a
-    step whose leading term t is not a multiple of lc(R) first scales both
-    by |lc(R)|/gcd(t, lc(R)).  Then Q = (quo/D)*R + rem/D, and with q = Q/n,
-    r = R/m the results are m*quo/(n*D) and rem/(n*D).
+    Knuth, TAOCP vol. 2, 4.6.1, Algorithm R: quo and rem share the running
+    multiplier D, and a step whose leading term t is not a multiple of
+    lc(R) first scales both by |lc(R)|/gcd(t, lc(R)).  When deg Q < deg R,
+    quo is empty, rem is Q and D = 1.  rem may carry trailing zeros.
     """
-    if r.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rn = r.num
-    dr = len(rn) - 1
-    shift = len(q.num) - 1 - dr
+    dr = len(rnum) - 1
+    shift = len(qnum) - 1 - dr
     if shift < 0:
-        return ZERO, q
-    lead = rn[-1]
-    rem = list(q.num)
+        return [], list(qnum), 1
+    lead = rnum[-1]
+    rem = list(qnum)
     quo = [0] * (shift + 1)
     den = 1
     for i in range(shift, -1, -1):
@@ -298,11 +295,24 @@ def qdiv(q: RingElement, r: RingElement) -> tuple[RingElement, RingElement]:
         c = t // lead
         quo[i] = c
         for j in range(dr + 1):
-            rem[i + j] -= c * rn[j]
+            rem[i + j] -= c * rnum[j]
+    return quo, rem[:dr], den
+
+
+def qdiv(q: RingElement, r: RingElement) -> tuple[RingElement, RingElement]:
+    """Classical division in Q[x]: (quot, rem) with q = quot*r + rem and
+    deg rem < deg r.
+
+    With q = Q/n, r = R/m and D*Q = quo*R + rem' from _pdiv, the results
+    are m*quo/(n*D) and rem'/(n*D).
+    """
+    if r.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    quo, rem, den = _pdiv(q.num, r.num)
     den *= q.den
     if r.den != 1:
         quo = [r.den * c for c in quo]
-    return RingElement._from_normal(quo, den), RingElement._from_normal(rem[:dr], den)
+    return RingElement._from_normal(quo, den), RingElement._from_normal(rem, den)
 
 
 # --------------------------------------------------------------------------

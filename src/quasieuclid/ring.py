@@ -10,11 +10,12 @@ therefore carries terminating division chains and Bezout GCDs.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from itertools import zip_longest
+from typing import Iterator, NamedTuple
 
 from .chains import DivisionChain
 from .padic import TauSpec, factorize
-from .poly import ONE, ZERO, RingElement, as_element, qdiv
+from .poly import ONE, ZERO, RingElement, _pdiv, as_element, qdiv
 
 
 class NotMemberError(ValueError):
@@ -102,11 +103,13 @@ class RingContext:
 
         Both inputs must be ring members with r != 0 (not checked); the
         outputs are then members as well, matching integer div/mod
-        semantics.  One path serves q of either sign: divide in Q[x], then
-        repair the rational quotient p'/m (lowest terms) by the unique k in
-        [0, m) with k = p'(tau) mod m.  When k = 0 and the Q[x] remainder is
-        negative (deg q < deg r), one more step of r lands it in [0, r).  A
-        negative r divides by -r and negates the quotient.
+        semantics.  One path serves q of either sign: one pseudo-division
+        gives q = (P/m)*r + rem in Q[x] with P/m in lowest terms; k in
+        [0, m) is P(tau) mod m, or m when k = 0 leaves rem negative (one
+        more step of r lands it in [0, r)).  The correction is fused: p =
+        (P - k)/m changes only the constant coefficient, and s = rem +
+        (k/m)*r is one coefficient list over one denominator.  A negative r
+        divides by -r and negates the quotient.
         """
         q, r = as_element(q), as_element(r)
         if r.is_zero:
@@ -114,16 +117,46 @@ class RingContext:
         if r.num[-1] < 0:
             p, s = self.divmod(q, -r)
             return -p, s
-        pt, st = qdiv(q, r)
-        k = self.tau.eval_mod(pt.num, pt.den)
+        quo, rem, den = _pdiv(q.num, r.num)
+        den *= q.den  # now q = (quo/den)*r + rem/den in Q[x]
+        if r.den != 1:
+            quo = [r.den * c for c in quo]
+        pt = RingElement._from_normal(quo, den)
+        m = pt.den
+        k = self.tau.eval_mod(pt.num, m) if m > 1 else 0
         if k == 0:
-            if st.num and st.num[-1] < 0:
-                return pt - ONE, st + r
-            return pt, st
-        shift = RingElement._from_normal((k,), pt.den)
-        return pt - shift, st + shift * r
+            top = next((c for c in reversed(rem) if c), 0)
+            if top >= 0:
+                return pt, RingElement._from_normal(rem, den)
+            k = m
+        shifted = list(pt.num) or [0]
+        shifted[0] -= k
+        mr = m * r.den
+        lcm = math.lcm(den, mr)
+        fq, fr = lcm // den, k * (lcm // mr)
+        coeffs = [fq * x + fr * y for x, y in zip_longest(rem, r.num, fillvalue=0)]
+        return RingElement._from_normal(shifted, m), RingElement._from_normal(coeffs, lcm)
 
     # -- chains, gcd, divisibility -----------------------------------------
+
+    def _steps(self, a, b, max_steps: int) -> Iterator[tuple[RingElement, RingElement]]:
+        """The (quotient, remainder) of each division step from (a, b),
+        through the first zero remainder; a and b are validated once."""
+        if max_steps < 1:
+            raise ValueError("max_steps must be positive")
+        a, b = self.make_element(as_element(a)), self.make_element(as_element(b))
+        if b.is_zero:
+            raise ZeroDivisionError("chain requires b != 0")
+        prev, cur = a, b
+        for _ in range(max_steps):
+            p, s = self.divmod(prev, cur)
+            yield p, s
+            if s.is_zero:
+                return
+            prev, cur = cur, s
+        raise StepBudgetExceeded(
+            f"division chain from ({a}, {b}) exceeded {max_steps} steps"
+        )
 
     def qe_chain(self, a, b, max_steps: int = 10_000) -> DivisionChain:
         """Iterate division with remainder from (a, b) until remainder 0.
@@ -131,30 +164,18 @@ class RingContext:
         Termination is guaranteed by the norm descent; max_steps is a
         safety valve whose breach signals a defect, not a usage error.
         """
-        if max_steps < 1:
-            raise ValueError("max_steps must be positive")
-        a, b = self.make_element(as_element(a)), self.make_element(as_element(b))
-        if b.is_zero:
-            raise ZeroDivisionError("chain requires b != 0")
-        quots: list[RingElement] = []
-        prev, cur = a, b
-        for _ in range(max_steps):
-            p, s = self.divmod(prev, cur)
-            quots.append(p)
-            if s.is_zero:
-                return DivisionChain(a, b, tuple(quots))
-            prev, cur = cur, s
-        raise StepBudgetExceeded(
-            f"division chain from ({a}, {b}) exceeded {max_steps} steps"
-        )
+        quots = tuple(p for p, _ in self._steps(a, b, max_steps))
+        return DivisionChain(as_element(a), as_element(b), quots)
 
     def gcd_bezout(self, a, b) -> tuple[RingElement, RingElement, RingElement]:
         """(g, u, v) with g = u*a + v*b, g > 0, and g dividing both a and b.
 
-        Computed by accumulating the 2x2 elementary step matrices along the
-        division chain; on integers this reproduces the extended Euclidean
-        algorithm exactly.  A non-member a or b raises NotMemberError, b = 0
-        included.
+        Half-extended: the division chain carries only the cofactor of a
+        (u <- u_prev - p*u) beside the remainders, and v = (g - u*a)/b is
+        one exact division at the end (Knuth, TAOCP vol. 2, 4.5.2, the
+        remark after Algorithm X).  On integers this reproduces the
+        extended Euclidean algorithm exactly.  A non-member a or b raises
+        NotMemberError, b = 0 included.
         """
         a, b = as_element(a), as_element(b)
         if a.is_zero and b.is_zero:
@@ -162,10 +183,14 @@ class RingContext:
         if b.is_zero:
             g, u, v = self.make_element(a), ONE, ZERO
         else:
-            m00, m01, m10, m11 = ONE, ZERO, ZERO, ONE
-            for q in self.qe_chain(a, b).quotients:
-                m00, m01, m10, m11 = m10, m11, m00 - q * m10, m01 - q * m11
-            g, u, v = m00 * a + m01 * b, m00, m01
+            g, u_prev, u = b, ONE, ZERO
+            for p, s in self._steps(a, b, 10_000):
+                if s.is_zero:
+                    break
+                g, u_prev, u = s, u, u_prev - p * u
+            v, rem = qdiv(g - u * a, b)
+            if not rem.is_zero:
+                raise RuntimeError("Bezout cofactor v is not exact (bug)")
         if g < ZERO:
             g, u, v = -g, -u, -v
         return g, u, v

@@ -143,6 +143,13 @@ def test_trichotomy(a, b):
     assert (a < b) + (a == b) + (a > b) == 1
 
 
+def test_pow_rejects_bool_exponents():
+    # bool is an int subclass: X ** True would otherwise read as x
+    for exponent in (True, False):
+        with pytest.raises(ValueError, match="exponent"):
+            X ** exponent
+
+
 # -- division in Q[x] -------------------------------------------------------------
 
 

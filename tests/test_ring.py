@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasieuclid import (
@@ -22,10 +22,13 @@ from quasieuclid import (
     phi,
     piecewise,
     poly_eval_mod,
+    qdiv,
     stream,
     zero,
 )
 from quasieuclid.adversary import integer_mod
+
+from _corpus import TAU_SPECS, member_pair
 
 TAUS = [constant(0), constant(1), constant(5), stream(42), log_generic(7)]
 
@@ -223,6 +226,57 @@ def test_divmod_negative_dividends_match_flip_formula(tau, seed, neg_q, neg_r, i
     assert ctx.is_member(p) and ctx.is_member(s)
 
 
+def _two_stage_divmod(ctx, q, r):
+    # The earlier divmod, kept as the reference: qdiv, then the correction
+    # k = p'(tau) mod m as a shift element, then the shift arithmetic.
+    if r < ZERO:
+        p, s = _two_stage_divmod(ctx, q, -r)
+        return -p, s
+    pt, st = qdiv(q, r)
+    k = ctx.tau.eval_mod(pt.num, pt.den)
+    if k == 0:
+        if st < ZERO:
+            return pt - ONE, st + r
+        return pt, st
+    shift = RingElement((k,), pt.den)
+    return pt - shift, st + shift * r
+
+
+def _divisor(ctx, rng, shape):
+    # "integer", "fraction" (a member with a denominator) or "poly" (any
+    # member of degree >= 1)
+    if shape == "integer":
+        return as_element(rng.randint(1, 60))
+    while True:
+        r = random_member(ctx, rng)
+        if r.degree >= 1 and (shape == "poly" or r.den > 1):
+            return r
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(ALL_TAU_KINDS),
+    st.integers(0, 2**32),
+    st.sampled_from(["integer", "fraction", "poly"]),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_divmod_matches_two_stage_formula(tau, seed, r_shape, low_q, neg_q, neg_r):
+    ctx = RingContext(tau)
+    rng = random.Random(seed)
+    r = _divisor(ctx, rng, r_shape)
+    if low_q and r.degree >= 1:
+        q = random_member(ctx, rng, max_deg=r.degree - 1)
+    else:
+        q = random_member(ctx, rng)
+    q, r = (-q if neg_q else q), (-r if neg_r else r)
+    p, s = ctx.divmod(q, r)
+    assert (p, s) == _two_stage_divmod(ctx, q, r)
+    assert p * r + s == q
+    assert ZERO <= s < abs(r)
+
+
 def test_norm_descent_on_random_chains():
     rng = random.Random(11)
     for tau in TAUS:
@@ -400,6 +454,67 @@ def test_gcd_with_zero_checks_membership():
 def test_gcd_rejects_double_zero():
     with pytest.raises(ValueError):
         RingContext(constant(0)).gcd_bezout(ZERO, ZERO)
+
+
+def _matrix_bezout(ctx, a, b):
+    # The earlier gcd_bezout, kept as the reference: accumulate the 2x2
+    # elementary step matrices along the canonical chain.
+    a, b = as_element(a), as_element(b)
+    if b.is_zero:
+        g, u, v = ctx.make_element(a), ONE, ZERO
+    else:
+        m00, m01, m10, m11 = ONE, ZERO, ZERO, ONE
+        for q in ctx.qe_chain(a, b).quotients:
+            m00, m01, m10, m11 = m10, m11, m00 - q * m10, m01 - q * m11
+        g, u, v = m00 * a + m01 * b, m00, m01
+    if g < ZERO:
+        g, u, v = -g, -u, -v
+    return g, u, v
+
+
+def test_gcd_matches_matrix_form_on_corpus_pairs():
+    rng = random.Random(20240811)
+    for make in TAU_SPECS.values():
+        ctx = RingContext(make())
+        for _ in range(1000):
+            a, b = member_pair(ctx, rng)
+            assert ctx.gcd_bezout(a, b) == _matrix_bezout(ctx, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(ALL_TAU_KINDS),
+    st.integers(0, 2**32),
+    st.sampled_from(["random", "b_divides_a", "a_zero", "low_degree_a"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_gcd_matches_matrix_form(tau, seed, shape, neg_a, neg_b):
+    ctx = RingContext(tau)
+    rng = random.Random(seed)
+    b = random_member(ctx, rng)
+    if shape == "b_divides_a":
+        a = b * random_member(ctx, rng, max_deg=2, max_den=12)
+    elif shape == "a_zero":
+        a = ZERO
+    elif shape == "low_degree_a":
+        b = _divisor(ctx, rng, "poly")
+        a = random_member(ctx, rng, max_deg=b.degree - 1)
+    else:
+        a = random_member(ctx, rng)
+    a, b = (-a if neg_a else a), (-b if neg_b else b)
+    g, u, v = ctx.gcd_bezout(a, b)
+    assert (g, u, v) == _matrix_bezout(ctx, a, b)
+    assert g > ZERO and u * a + v * b == g
+
+
+def test_gcd_checks_its_cofactor_exactly(monkeypatch):
+    # a step sequence that is not the chain of (a, b) leaves g - u*a
+    # outside b's multiples; the check is a raise, so it holds under -O
+    ctx = RingContext(constant(0))
+    monkeypatch.setattr(ctx, "_steps", lambda a, b, n: iter([(ZERO, as_element(3)), (ONE, ZERO)]))
+    with pytest.raises(RuntimeError, match="not exact"):
+        ctx.gcd_bezout(X * X, X + 1)
 
 
 # -- divisibility ----------------------------------------------------------------
