@@ -3,7 +3,8 @@
 Accepted forms include rational coefficients ("3/2*x^2 - x + 5"), a single
 trailing denominator ("(x^2 + x)/2", "x/2"), implicit multiplication
 ("3x"), parentheses, and unary signs.  Division is restricted to nonzero
-rational constants on the right.
+rational constants on the right.  A power whose result would hold more than
+_MAX_POWER_BITS bits is rejected before it is built.
 """
 
 from __future__ import annotations
@@ -16,6 +17,16 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*/^()")
+
+# The largest power a^n the parser builds, as a bound on the bits the result
+# holds: its n·deg(a) + 1 coefficients times a bound on their bit length,
+# n·(ceil(log2 of the sum of |a's numerator coefficients|) + ceil(log2 of
+# a's denominator)), or times 1 where that bound is 0.  So for x^n the size
+# is the degree plus one, and for a constant base it is the bit length:
+# x^65535 and 2^65536 fit, x^100000000 does not.  The coefficients count
+# too because the cost of a dense power grows with both: (x + 1)^255 fits
+# and takes a few milliseconds, while (x + 1)^4000 would take half a minute.
+_MAX_POWER_BITS = 2**16
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -95,6 +106,8 @@ class _Parser:
             kind, value = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer")
+            if _power_bits(base, value) > _MAX_POWER_BITS:
+                raise ParseError(f"power too large: the result would exceed {_MAX_POWER_BITS} bits")
             return base**value
         return base
 
@@ -111,6 +124,15 @@ class _Parser:
             self.take()
             return inner
         raise ParseError(f"unexpected token {kind!r}")
+
+
+def _power_bits(base: RingElement, n: int) -> int:
+    """The bound on the size of base**n that _MAX_POWER_BITS limits."""
+    if base.is_zero:
+        return 1
+    norm = sum(abs(c) for c in base.num)
+    bits = n * ((norm - 1).bit_length() + (base.den - 1).bit_length())
+    return (n * base.degree + 1) * max(bits, 1)
 
 
 def _div_const(value: RingElement, divisor: RingElement) -> RingElement:

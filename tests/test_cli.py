@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from quasieuclid import RingElement, parse_element
+from quasieuclid import RingElement, hensel_lift, parse_element
 from quasieuclid.cli import main
 
 ZERO_TAU = '{"kind":"constant","value":0}'
@@ -371,4 +371,52 @@ def test_factoring_budget_exits_1_without_traceback():
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert "rho iterations" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+HENSEL_X2_MINUS_2 = '{"kind":"hensel","poly":[-2,0,1],"fallback":{"kind":"constant","value":1}}'
+LARGE_PRIME = 1000000007
+
+
+def test_hensel_tau_at_a_large_prime_answers_at_once():
+    # the root search takes gcds: trying all p residues would take minutes
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasieuclid", "tau", "--json", "--tau", HENSEL_X2_MINUS_2, str(LARGE_PRIME), "4"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    r = data["digits"][0]
+    assert (r * r - 2) % LARGE_PRIME == 0 and r < LARGE_PRIME - r
+    assert data["value"] == hensel_lift((-2, 0, 1), LARGE_PRIME, r, 4).value
+
+    p2 = LARGE_PRIME**2
+    for element, expected in (
+        (f"x/{LARGE_PRIME}", hensel_lift((-2, 0, 1), LARGE_PRIME, r, 1).value == 0),
+        (f"(x^2-2)/{p2}", True),
+        (f"(x-{r})/{LARGE_PRIME}", True),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quasieuclid", "member", "--json", "--tau", HENSEL_X2_MINUS_2, element],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["member"] is expected, element
+
+
+@pytest.mark.parametrize("text", ["x^100000000", "2^100000000", "(x^1000)^1000", "(x+1)^4000"])
+def test_huge_power_is_usage_error(text):
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasieuclid", "member", text],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "power too large" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -502,3 +502,91 @@ def test_tau_json_override_keys_must_be_decimal():
         data = {"kind": "piecewise", "overrides": {key: {"kind": "zero"}}, "default": {"kind": "zero"}}
         with pytest.raises(ValueError, match="must be an integer in decimal"):
             tau_from_json(data)
+
+
+# -- hensel roots by gcd ------------------------------------------------------
+
+
+def _linear_simple_root(f, p):
+    """The smallest r in [0, p) with f(r) = 0 and f'(r) != 0 mod p, by trying
+    every residue: the search HenselTau ran before it found roots by gcds,
+    kept as the reference."""
+    for r in range(p):
+        if sum(c * r**i for i, c in enumerate(f)) % p == 0:
+            if sum(i * c * r ** (i - 1) for i, c in enumerate(f) if i) % p != 0:
+                return r
+    return None
+
+
+def _times_square(g, r):
+    """g * (x - r)^2, coefficients constant term first."""
+    for _ in range(2):
+        out = [0] * (len(g) + 1)
+        for i, c in enumerate(g):
+            out[i] -= r * c
+            out[i + 1] += c
+        g = out
+    return g
+
+
+SHAPES = ("as is", "double root", "p | lc", "p | f")
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.lists(st.integers(-60, 60), min_size=1, max_size=7),
+    st.sampled_from(primes_upto(500)),
+    st.sampled_from(SHAPES),
+    st.integers(-60, 60),
+)
+@example(g=[1, 1], p=2, shape="as is", r=0)  # x + 1 mod 2: the root 1
+@example(g=[0, 1, 1], p=2, shape="as is", r=0)  # x(x + 1) mod 2: 0 and 1
+@example(g=[1, 0, 1], p=2, shape="as is", r=0)  # (x + 1)^2 mod 2: no simple root
+@example(g=[-2, 0, 1], p=2, shape="as is", r=0)  # x^2 mod 2
+@example(g=[-2, 0, 1], p=3, shape="as is", r=0)  # x^2 + 1 mod 3: no root
+@example(g=[2, 0, 1], p=3, shape="as is", r=0)  # x^2 - 1 mod 3: 1 and 2
+@example(g=[1, 1, 1], p=3, shape="as is", r=0)  # (x - 1)^2 mod 3
+@example(g=[1, 2, 3], p=7, shape="p | f", r=0)  # every coefficient a multiple of p
+@example(g=[1, 3, 1], p=5, shape="p | lc", r=0)  # 1 + 3x mod 5: the root 3
+@example(g=[2, 1], p=7, shape="p | lc", r=0)  # a nonzero constant mod p
+@example(g=[], p=5, shape="as is", r=0)
+@example(g=[0, 0, 0], p=5, shape="as is", r=0)
+@example(g=[0, -2, 0, 1], p=7, shape="as is", r=0)  # the root 0, then 3 and 4
+@example(g=[1, 1], p=11, shape="double root", r=3)  # (x - 3)^2 (x + 1): 10
+@example(g=[1], p=13, shape="double root", r=5)  # (x - 5)^2 only
+@example(g=[0, 1], p=13, shape="double root", r=0)  # x^3: 0 is a triple root
+@example(g=[0, -1, 0, 1], p=3, shape="as is", r=0)  # x^3 - x: every residue
+@example(g=[1, -1, 0, 0, 0, 0, 1], p=5, shape="as is", r=0)  # p <= deg f
+@example(g=[3, 0, 0, 0, 0, 0, 1], p=2, shape="as is", r=0)
+def test_simple_root_matches_linear_search(g, p, shape, r):
+    if shape == "double root":
+        f = _times_square(g[:5], r)
+    elif shape == "p | lc":
+        f = g[:-1] + [g[-1] * p]
+    elif shape == "p | f":
+        f = [c * p for c in g]
+    else:
+        f = g
+    assert hensel(f, zero())._simple_root(p) == _linear_simple_root(f, p)
+    fp = [c % p for c in f]
+    while fp and not fp[-1]:
+        fp.pop()
+    if len(fp) >= 2:  # a root set exists and is finite
+        every = {x for x in range(p) if sum(c * x**i for i, c in enumerate(f)) % p == 0}
+        roots = padic._roots_mod(f, p)
+        assert sorted(roots) == sorted(every)
+
+
+@pytest.mark.parametrize("f", [(-2, 0, 1), (-13, 3, 1)], ids=["x^2-2", "x^2+3x-13"])
+def test_simple_root_matches_linear_search_at_every_prime_to_3000(f):
+    spec = hensel(f, zero())
+    for p in primes_upto(3000):
+        assert spec._simple_root(p) == _linear_simple_root(f, p), p
+
+
+def test_simple_root_at_a_large_prime():
+    p = 1000000007
+    r = hensel((-2, 0, 1), zero())._simple_root(p)
+    assert r == 59713600
+    assert (r * r - 2) % p == 0 and r < p - r
+    assert hensel((1, 0, 1), zero())._simple_root(p) is None  # p = 3 mod 4

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -271,6 +272,24 @@ def test_parse_errors():
     for bad in ("", "x +", "y", "x^-1", "x/(x+1)", "1/0", "(x", "3..2"):
         with pytest.raises(ParseError):
             parse_element(bad)
+
+
+def test_parse_rejects_huge_powers_before_building_them():
+    for bad in ("x^100000000", "2^100000000", "x^65536", "2^65537", "(x+1)^256", "(x^1000)^1000", "(1/2)^65537"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="power too large"):
+            parse_element(bad)
+        assert time.perf_counter() - start < 1, bad
+
+
+def test_parse_accepts_powers_within_the_budget():
+    assert parse_element("x^1000") == X**1000
+    assert parse_element("x^65535").degree == 65535
+    assert parse_element("2^65536") == RingElement((2**65536,))
+    assert parse_element("(x+1)^255") == (X + 1) ** 255
+    assert parse_element("(x^3)^10") == X**30
+    assert parse_element("0^100000000") == ZERO
+    assert parse_element("(-1)^100000001") == -ONE
 
 
 @settings(max_examples=150, deadline=None)
