@@ -113,4 +113,5 @@ def hat(d: int, b: RingElement, r: RingElement) -> Fraction:
         raise ZeroDivisionError("projection requires b != 0")
     if d < 1:
         raise ValueError("scale d must be positive")
-    return d * r.lc / b.lc
+    lc_r = r.num[-1] if r.num else 0
+    return Fraction(d * lc_r * b.den, r.den * b.num[-1])

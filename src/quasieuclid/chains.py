@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .poly import ZERO, ONE, RingElement, as_element
+from .poly import ZERO, ONE, RingElement, _submul, as_element
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ring import RingContext
@@ -44,7 +44,7 @@ class DivisionChain:
         rems = []
         prev, cur = self.a, self.b
         for q in self.quotients:
-            prev, cur = cur, prev - q * cur
+            prev, cur = cur, _submul(prev, q, cur)
             rems.append(cur)
         return tuple(rems)
 

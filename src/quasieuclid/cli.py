@@ -29,6 +29,11 @@ class UsageError(Exception):
 _EPILOG = "a polynomial starting with '-' needs -- before it: quasieuclid divmod -- -x^2-1 3x+2"
 
 
+# Part of the ValueError that CPython raises when an int has more decimal
+# digits than sys.get_int_max_str_digits() allows.
+_DIGIT_LIMIT_TEXT = "integer string conversion"
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -228,7 +233,7 @@ def _norm_descent_demo(ctx, args, report) -> tuple[dict, list[str]]:
     try:
         with open(args.norm_file, "r", encoding="utf-8") as fh:
             table = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read norm table: {exc}")
     if not isinstance(table, dict):
         raise UsageError("norm table must be a JSON object {element: value}")
@@ -352,17 +357,26 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ctx = RingContext(_load_tau(args))
         payload, lines = _HANDLERS[args.command](ctx, args)
+        text = json.dumps(payload, sort_keys=True) if json_mode else None
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotMemberError, ZeroDivisionError, ValueError, StepBudgetExceeded) as exc:
-        if json_mode:
+        if _DIGIT_LIMIT_TEXT in str(exc):
+            # the input was checked against the limit, so an output int is
+            # too long to print; no JSON can carry it either
+            print(
+                f"error: the result holds an integer of more than {sys.get_int_max_str_digits()}"
+                " decimal digits, the interpreter's limit for printing one",
+                file=sys.stderr,
+            )
+        elif json_mode:
             print(json.dumps({"error": str(exc)}, sort_keys=True))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
     if json_mode:
-        print(json.dumps(payload, sort_keys=True))
+        print(text)
     else:
         for line in lines:
             print(line)

@@ -141,13 +141,13 @@ class RingElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _submul(self, ONE, o)
 
     def __rsub__(self, other) -> "RingElement":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _submul(o, ONE, self)
 
     def __mul__(self, other) -> "RingElement":
         o = self._coerce(other)
@@ -239,6 +239,34 @@ def as_element(value) -> RingElement:
     if e is None:
         raise TypeError(f"cannot interpret {type(value).__name__} as a ring element")
     return e
+
+
+def _submul(w: RingElement, p: RingElement, u: RingElement) -> RingElement:
+    """w - p*u as one coefficient list over one denominator.
+
+    With w = W/a, p = P/b and u = U/c, the result is
+    (W*(L/a) - P*U*(L/bc))/L for L = lcm(a, bc): one scaled pass when p is
+    a constant, one convolution otherwise, and one _from_normal call.
+    """
+    pn, un = p._num, u._num
+    if not pn or not un:
+        return w
+    wn, wd = w._num, w._den
+    pud = p._den * u._den
+    g = math.gcd(wd, pud)
+    fw, fpu = pud // g, wd // g  # L/a and L/bc
+    if len(pn) == 1:
+        c = pn[0] * fpu
+        out = [fw * x - c * y for x, y in zip_longest(wn, un, fillvalue=0)]
+    else:
+        out = [fw * x for x in wn]
+        out += [0] * (len(pn) + len(un) - 1 - len(out))
+        for i, a in enumerate(pn):
+            if a:
+                a *= fpu
+                for j, y in enumerate(un, i):
+                    out[j] -= a * y
+    return RingElement._from_normal(out, wd * fw)
 
 
 def _cmp(a: RingElement, b: RingElement) -> int:

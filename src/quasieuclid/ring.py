@@ -10,12 +10,11 @@ therefore carries terminating division chains and Bezout GCDs.
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
 from typing import Iterator, NamedTuple
 
 from .chains import DivisionChain
 from .padic import TauSpec, factorize
-from .poly import ONE, ZERO, RingElement, _pdiv, as_element, qdiv
+from .poly import ONE, ZERO, RingElement, _pdiv, _submul, as_element, qdiv
 
 
 class NotMemberError(ValueError):
@@ -103,39 +102,39 @@ class RingContext:
 
         Both inputs must be ring members with r != 0 (not checked); the
         outputs are then members as well, matching integer div/mod
-        semantics.  One path serves q of either sign: one pseudo-division
-        gives q = (P/m)*r + rem in Q[x] with P/m in lowest terms; k in
-        [0, m) is P(tau) mod m, or m when k = 0 leaves rem negative (one
-        more step of r lands it in [0, r)).  The correction is fused: p =
-        (P - k)/m changes only the constant coefficient, and s = rem +
-        (k/m)*r is one coefficient list over one denominator.  A negative r
-        divides by -r and negates the quotient.
+        semantics.  A step only chooses p; s = q - p*r is then one fused
+        pass (poly._submul) for every step.  When deg q = deg r the quotient
+        is a constant, the integer floor(lc q / lc r), and tau plays no part.
+        Otherwise one pseudo-division gives the Q[x] quotient P/m in lowest
+        terms and p = (P - k)/m for k = P(tau) mod m in [0, m).  s < 0 can
+        happen only when k = 0 (at equal degree: lc q / lc r an integer),
+        and then (p - 1, s + r) is the answer.  A negative r divides by -r
+        and negates the quotient.
         """
         q, r = as_element(q), as_element(r)
-        if r.is_zero:
+        qn, rn = q.num, r.num
+        if not rn:
             raise ZeroDivisionError("division by zero in the ring")
-        if r.num[-1] < 0:
+        if rn[-1] < 0:
             p, s = self.divmod(q, -r)
             return -p, s
-        quo, rem, den = _pdiv(q.num, r.num)
-        den *= q.den  # now q = (quo/den)*r + rem/den in Q[x]
-        if r.den != 1:
-            quo = [r.den * c for c in quo]
-        pt = RingElement._from_normal(quo, den)
-        m = pt.den
-        k = self.tau.eval_mod(pt.num, m) if m > 1 else 0
-        if k == 0:
-            top = next((c for c in reversed(rem) if c), 0)
-            if top >= 0:
-                return pt, RingElement._from_normal(rem, den)
-            k = m
-        shifted = list(pt.num) or [0]
-        shifted[0] -= k
-        mr = m * r.den
-        lcm = math.lcm(den, mr)
-        fq, fr = lcm // den, k * (lcm // mr)
-        coeffs = [fq * x + fr * y for x, y in zip_longest(rem, r.num, fillvalue=0)]
-        return RingElement._from_normal(shifted, m), RingElement._from_normal(coeffs, lcm)
+        if len(qn) == len(rn):
+            p = RingElement._from_normal((qn[-1] * r.den // (q.den * rn[-1]),), 1)
+        else:
+            quo, _, den = _pdiv(qn, rn)
+            if r.den != 1:
+                quo = [r.den * c for c in quo]
+            p = RingElement._from_normal(quo, den * q.den)  # P/m
+            m = p.den
+            k = self.tau.eval_mod(p.num, m) if m > 1 else 0
+            if k:
+                shifted = list(p.num)
+                shifted[0] -= k
+                p = RingElement._from_normal(shifted, m)
+        s = _submul(q, p, r)
+        if s.num and s.num[-1] < 0:
+            return p - ONE, s + r
+        return p, s
 
     # -- chains, gcd, divisibility -----------------------------------------
 
@@ -187,8 +186,8 @@ class RingContext:
             for p, s in self._steps(a, b, 10_000):
                 if s.is_zero:
                     break
-                g, u_prev, u = s, u, u_prev - p * u
-            v, rem = qdiv(g - u * a, b)
+                g, u_prev, u = s, u, _submul(u_prev, p, u)
+            v, rem = qdiv(_submul(g, u, a), b)
             if not rem.is_zero:
                 raise RuntimeError("Bezout cofactor v is not exact (bug)")
         if g < ZERO:

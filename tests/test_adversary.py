@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasieuclid import (
     X,
@@ -205,6 +209,21 @@ def test_hat_examples():
     assert hat(3, X, RingElement((0, 2), 3)) == 2
     with pytest.raises(ZeroDivisionError):
         hat(3, ZERO, X)
+
+
+nonzero_elements = st.builds(
+    RingElement,
+    st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=4).filter(lambda c: c[-1] != 0),
+    st.integers(1, 10**6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**6), nonzero_elements, st.one_of(st.just(ZERO), nonzero_elements))
+def test_hat_is_the_leading_coefficient_ratio(d, b, r):
+    h = hat(d, b, r)
+    assert type(h) is Fraction
+    assert h == d * r.lc / b.lc
 
 
 def test_hat_projects_canonical_chain_to_integer_chain():

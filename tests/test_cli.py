@@ -420,3 +420,50 @@ def test_huge_power_is_usage_error(text):
     assert proc.stdout == ""
     assert "power too large" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_product_of_powers_is_usage_error():
+    text = "*".join(["(x+1)^255"] * 16)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasieuclid", "member", text],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "product too large" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_integer_literal_past_the_digit_limit_is_usage_error(json_flag):
+    limit = sys.get_int_max_str_digits()
+    proc = _run_module("member", *json_flag, "x + " + "1" * (limit + 1))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"more than the limit of {limit}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_result_past_the_digit_limit_is_one_error_line(json_flag):
+    proc = _run_module("member", *json_flag, "2^20000")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert f"more than {sys.get_int_max_str_digits()} decimal digits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
+
+
+def test_norm_file_integer_past_the_digit_limit_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "norms.json"
+    path.write_text('{"x": ' + "9" * (sys.get_int_max_str_digits() + 1) + "}")
+    code, out, err = run_cli(
+        capsys, "adversary", "--tau", ZERO_TAU, "1", "x", "--norm-file", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot read norm table" in err

@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 from itertools import zip_longest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasieuclid import ONE, X, ZERO, RingElement, as_element, compare, qdiv
-from quasieuclid.poly import format_element
+from quasieuclid.poly import _submul, format_element
 from quasieuclid.syntax import ParseError, parse_element
 
 elements = st.builds(
@@ -255,6 +256,46 @@ def test_results_are_in_normal_form(a, b):
         _assert_normal(e)
 
 
+# -- the fused w - p*u kernel ------------------------------------------------------
+
+
+def _reference_submul(w, p, u):
+    """w - p*u over Fraction coefficients."""
+    pu = [Fraction(0)] * max(len(p.num) + len(u.num) - 1, 0)
+    for i, a in enumerate(_fractions(p)):
+        for j, b in enumerate(_fractions(u)):
+            pu[i + j] += a * b
+    return RingElement([x - y for x, y in zip_longest(_fractions(w), pu, fillvalue=0)])
+
+
+# Zero, constants of either sign and short polynomials, all over denominators.
+multipliers = st.one_of(
+    st.builds(RingElement, st.lists(st.integers(-(2**64), 2**64), max_size=1), st.integers(1, 10**6)),
+    big_elements,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_elements, multipliers, st.one_of(st.just(ZERO), big_elements))
+def test_submul_matches_fraction_reference(w, p, u):
+    result = _submul(w, p, u)
+    assert result == _reference_submul(w, p, u)
+    assert result == w + (-(p * u))
+    _assert_normal(result)
+
+
+def test_submul_examples():
+    half_x = RingElement((0, 1), 2)
+    assert _submul(half_x, ZERO, X) == half_x
+    assert _submul(half_x, X, ZERO) == half_x
+    assert _submul(ZERO, as_element(-3), half_x) == RingElement((0, 3), 2)
+    # x/2 - (1/3)(x/2) = x/3, over lcm(2, 6) = 6 before reduction
+    assert _submul(half_x, RingElement((1,), 3), half_x) == RingElement((0, 1), 3)
+    # (x^2 + 1)/4 - (x/2 - 1)(x/2 + 1) = 5/4: the top terms cancel
+    w = RingElement((1, 0, 1), 4)
+    assert _submul(w, RingElement((-2, 1), 2), RingElement((2, 1), 2)) == RingElement((5,), 4)
+
+
 # -- text form -----------------------------------------------------------------
 
 
@@ -290,6 +331,42 @@ def test_parse_accepts_powers_within_the_budget():
     assert parse_element("(x^3)^10") == X**30
     assert parse_element("0^100000000") == ZERO
     assert parse_element("(-1)^100000001") == -ONE
+
+
+def _repeat(text, times):
+    return "*".join([text] * times)
+
+
+def test_parse_rejects_huge_products_before_building_them():
+    for bad in (
+        "(x+1)^255*(x+1)",
+        "(x+1)^255(x+1)",
+        _repeat("(x+1)^255", 2),
+        _repeat("(x+1)^255", 16),
+        "2^65536*2",
+        "2^65536/3",
+        "x^65535*x",
+        _repeat("(x+1)^100", 30),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="product too large"):
+            parse_element(bad)
+        assert time.perf_counter() - start < 1, bad
+
+
+def test_parse_accepts_products_within_the_budget():
+    assert parse_element("(x+1)^255*1") == (X + 1) ** 255
+    assert parse_element("x^65535/2") == RingElement((0,) * 65535 + (1,), 2)
+    assert parse_element("2^65535*2") == RingElement((2**65536,))
+    assert parse_element("0*" + _repeat("(x+1)^255", 1)) == ZERO
+    assert parse_element(_repeat("(x+1)", 255)) == (X + 1) ** 255
+
+
+def test_parse_rejects_integers_past_the_interpreter_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert parse_element("7" * limit) == as_element(int("7" * limit))
+    with pytest.raises(ParseError, match=f"has {limit + 1} digits, more than the limit of {limit}"):
+        parse_element("x + " + "7" * (limit + 1))
 
 
 @settings(max_examples=150, deadline=None)

@@ -277,6 +277,69 @@ def test_divmod_matches_two_stage_formula(tau, seed, r_shape, low_q, neg_q, neg_
     assert ZERO <= s < abs(r)
 
 
+# Equal-degree steps: the quotient is the integer floor(lc q / lc r).  Each
+# case is (q, r, p): an integer ratio with q - c*r < 0, a rational ratio,
+# negative q, negative r, then r with a denominator under an integer ratio,
+# a rational ratio and a negative q.  (x^2 + x)/2 and (3x^2 + x)/2 are
+# members under every tau, since tau(tau + 1) and tau(3tau + 1) are even.
+EQUAL_DEGREE_CASES = [
+    (RingElement((1, 2)), RingElement((1, 1)), ONE),
+    (RingElement((0, 3)), RingElement((1, 2)), ONE),
+    (RingElement((5, -3)), RingElement((1, 2)), as_element(-2)),
+    (RingElement((0, 3)), RingElement((-1, -2)), -ONE),
+    (RingElement((0, 1, 3), 2), RingElement((0, 1, 1), 2), as_element(2)),
+    (RingElement((1, 0, 2)), RingElement((0, 1, 3), 2), ONE),
+    (-RingElement((0, 1, 1), 2), RingElement((0, 1, 1), 2), -ONE),
+]
+
+
+@pytest.mark.parametrize("tau", ALL_TAU_KINDS)
+@pytest.mark.parametrize("q, r, p", EQUAL_DEGREE_CASES)
+def test_divmod_equal_degree_cases_match_two_stage_formula(tau, q, r, p):
+    ctx = RingContext(tau)
+    assert ctx.is_member(q) and ctx.is_member(r)
+    got = ctx.divmod(q, r)
+    assert got == _two_stage_divmod(ctx, q, r)
+    assert got == (p, q - p * r)
+    assert ZERO <= got[1] < abs(r)
+
+
+def test_divmod_equal_degree_never_asks_tau(monkeypatch):
+    ctx = RingContext(stream(42))
+
+    def refuse(h, n):
+        raise AssertionError("an equal-degree step evaluated tau")
+
+    monkeypatch.setattr(ctx.tau, "eval_mod", refuse)
+    for q, r, p in EQUAL_DEGREE_CASES:
+        assert ctx.divmod(q, r)[0] == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(ALL_TAU_KINDS),
+    st.integers(0, 2**32),
+    st.sampled_from(["integer", "fraction", "poly"]),
+    st.integers(-3, 3),
+    st.booleans(),
+)
+def test_divmod_equal_degree_matches_two_stage_formula(tau, seed, r_shape, c, neg_r):
+    # q = c*r + t with deg t <= deg r: an integer ratio when deg t < deg r
+    # (and then t of either sign), a rational one otherwise
+    ctx = RingContext(tau)
+    rng = random.Random(seed)
+    r = _divisor(ctx, rng, r_shape)
+    t = random_member(ctx, rng, max_deg=r.degree)
+    t = -t if rng.random() < 0.5 else t
+    q = c * r + t
+    r = -r if neg_r else r
+    if q.degree != r.degree:
+        return
+    p, s = ctx.divmod(q, r)
+    assert p.degree <= 0 and p.den == 1
+    assert (p, s) == _two_stage_divmod(ctx, q, r)
+
+
 def test_norm_descent_on_random_chains():
     rng = random.Random(11)
     for tau in TAUS:
