@@ -15,8 +15,8 @@ from typing import Callable, Iterable
 from .padic import (
     PredicateTau,
     TauSpec,
+    _eval_mod,
     piecewise,
-    poly_eval_mod,
     primes_upto,
     zero,
 )
@@ -88,7 +88,7 @@ def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
         raise ValueError("scan box must satisfy p_max >= 2, k_max >= 1")
     hits = []
     for p in primes_upto(p_max):
-        val = poly_eval_mod(h.num, ctx.tau, p, k_max).value
+        val = _eval_mod(h.num, ctx.tau._tau(p, k_max), p**k_max)
         if val == 0:
             depth = k_max
         else:

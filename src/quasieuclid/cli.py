@@ -19,7 +19,7 @@ from .padic import TauSpec, stream, tau_from_json, zero
 from .poly import RingElement
 from .poly import format_element as _fmt
 from .ring import NotMemberError, RingContext, StepBudgetExceeded, phi
-from .syntax import ParseError, parse_element
+from .syntax import ParseError, _int_literal, parse_element
 
 
 class UsageError(Exception):
@@ -115,13 +115,19 @@ def _load_tau(args) -> TauSpec:
             raise UsageError(f"cannot read tau file: {exc}")
     if text is not None:
         try:
-            return tau_from_json(json.loads(text))
+            return tau_from_json(json.loads(text, parse_int=_json_int))
         except (json.JSONDecodeError, ValueError, KeyError, TypeError, RecursionError) as exc:
             # RecursionError: JSON nested too deep for the decoder itself
             raise UsageError(f"bad tau spec: {exc}")
     if args.seed is not None:
         return stream(args.seed)
     return zero()
+
+
+def _json_int(digits: str) -> int:
+    # json would convert with int() and raise the interpreter's own message
+    # past its digit limit
+    return _int_literal(digits, "in the JSON")
 
 
 def _parse(text: str) -> RingElement:
@@ -232,7 +238,7 @@ def _cmd_compare(ctx, args):
 def _norm_descent_demo(ctx, args, report) -> tuple[dict, list[str]]:
     try:
         with open(args.norm_file, "r", encoding="utf-8") as fh:
-            table = json.load(fh)
+            table = json.load(fh, parse_int=_json_int)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read norm table: {exc}")
     if not isinstance(table, dict):

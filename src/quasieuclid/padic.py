@@ -13,6 +13,10 @@ n?" for a composite n: it factors n, evaluates h at each prime power, and
 combines the residues by Chinese remaindering; a constant tau (zero too)
 needs one Horner pass mod n and never factors.  Ring membership of h/n is
 eval_mod(h, n) == 0, and the divmod correction and integer_mod ask it too.
+Inside the library residues are plain ints from TauSpec._tau, which trusts
+its (prime, precision) arguments; query, poly_eval_mod and hensel_lift are
+the public edge, where p and k come from a caller: they check theirs and
+return ResidueClass objects.
 
 factorize trial-divides by the primes below 1000 and splits what is left
 with Pollard's rho in Brent's variant.  Rho has a budget of RHO_BUDGET
@@ -20,7 +24,7 @@ iterations per call; past it, factorize raises FactorBudgetExceeded (a
 ValueError) instead of running on.  is_prime is exact below 3.3e24 and
 BPSW-probable above, and factorize trusts it on every cofactor.
 
-Residue queries are memoized per spec instance.  Cached values are
+Residues are memoized in one dict per spec instance.  Cached values are
 deterministic functions of (p, k), so concurrent readers may share a spec:
 a racing write stores the same value, and CPython dict operations are atomic
 under the GIL.
@@ -435,18 +439,13 @@ class ResidueClass:
 # Specs for one p-adic integer per prime.
 
 
-def _stream_digit(seed: int, p: int, i: int) -> int:
-    # SHA-256 keyed by (seed, p, digit index): reproducible across runs
-    # and platforms, unlike hash()-seeded PRNGs.
-    key = f"{seed}:{p}:{i}".encode()
-    return int.from_bytes(hashlib.sha256(key).digest(), "big") % p
-
-
 class TauSpec(ABC):
     """Oracle for a family (tau_p), one p-adic integer per prime.
 
     query(p, k) returns tau_p mod p^k; answers at different precisions of
     the same spec always agree (deeper queries refine shallower ones).
+    Subclasses compute a residue in _residue; _tau memoizes it in _cache,
+    the spec's only cache of residues.
     """
 
     kind: str = ""
@@ -460,14 +459,17 @@ class TauSpec(ABC):
             raise ValueError(f"{p} is not prime")
         if k < 0:
             raise ValueError("precision must be non-negative")
+        return ResidueClass(p, k, self._tau(p, k))
+
+    def _tau(self, p: int, k: int) -> int:
+        """tau_p mod p^k for a prime p and k >= 0, unchecked; memoized."""
         if k == 0:
-            return ResidueClass(p, 0, 0)
-        key = (p, k)
-        v = self._cache.get(key)
+            return 0
+        v = self._cache.get((p, k))
         if v is None:
             v = self._residue(p, k)
-            self._cache[key] = v
-        return ResidueClass(p, k, v)
+            self._cache[p, k] = v
+        return v
 
     @abstractmethod
     def _residue(self, p: int, k: int) -> int:
@@ -482,7 +484,7 @@ class TauSpec(ABC):
         if n == 1 or len(h) <= 1:
             return h[0] % n if h else 0
         value, _ = crt_combine(
-            (p**e, poly_eval_mod(h, self, p, e).value) for p, e in factorize(n)
+            (p**e, _eval_mod(h, self._tau(p, e), p**e)) for p, e in factorize(n)
         )
         return value
 
@@ -558,23 +560,18 @@ class StreamTau(TauSpec):
     def __init__(self, seed: int) -> None:
         super().__init__()
         self.seed = _exact_int("seed", seed)
-        self._digits: dict[int, tuple[int, ...]] = {}
 
-    def _digit_row(self, p: int, k: int) -> tuple[int, ...]:
-        # rows are immutable and determined by (seed, p), so racing
-        # writers publish interchangeable values
-        row = self._digits.get(p, ())
-        if len(row) < k:
-            row += tuple(_stream_digit(self.seed, p, i) for i in range(len(row), k))
-            self._digits[p] = row
-        return row
+    def _digit(self, p: int, i: int) -> int:
+        # SHA-256 keyed by (seed, p, digit index): reproducible across runs
+        # and platforms, unlike hash()-seeded PRNGs.
+        key = f"{self.seed}:{p}:{i}".encode()
+        return int.from_bytes(hashlib.sha256(key).digest(), "big") % p
 
     def _residue(self, p: int, k: int) -> int:
-        row = self._digit_row(p, k)
-        return sum(row[i] * p**i for i in range(k))
+        return _eval_int([self._digit(p, i) for i in range(k)], p)
 
     def to_json(self) -> dict:
-        return {"kind": "stream", "seed": self.seed}
+        return {"kind": self.kind, "seed": self.seed}
 
 
 # _EXP_CEIL[n - 1] is the least integer above e^n; grown on demand by
@@ -612,8 +609,8 @@ def _floor_ln(p: int) -> int:
     return bisect.bisect_right(table, p)
 
 
-class LogGenericTau(TauSpec):
-    """First digit floor(ln p), remaining digits from a seeded stream.
+class LogGenericTau(StreamTau):
+    """The stream spec of the same seed with digit 0 replaced by floor(ln p).
 
     For every fixed nonzero integer polynomial h and all large enough p,
     0 < |h(floor(ln p))| < p, so the first digit of h(tau_p) is nonzero;
@@ -622,18 +619,8 @@ class LogGenericTau(TauSpec):
 
     kind = "log_generic"
 
-    def __init__(self, seed: int) -> None:
-        super().__init__()
-        self.seed = _exact_int("seed", seed)
-
-    def _residue(self, p: int, k: int) -> int:
-        v = _floor_ln(p)
-        for i in range(1, k):
-            v += _stream_digit(self.seed, p, i) * p**i
-        return v
-
-    def to_json(self) -> dict:
-        return {"kind": "log_generic", "seed": self.seed}
+    def _digit(self, p: int, i: int) -> int:
+        return super()._digit(p, i) if i else _floor_ln(p)
 
 
 class HenselTau(TauSpec):
@@ -644,7 +631,8 @@ class HenselTau(TauSpec):
     mod p come from gcds with x^((p-1)/2) and equal-degree splitting
     (_roots_mod), never from trying all p residues: O(d^2 log p) operations
     mod p per power for f of degree d, and a power near p = 10^9 takes about
-    30 squarings.
+    30 squarings.  A residue is the Newton lift of that root, or the
+    fallback's residue from the fallback's own memo, both as plain ints.
     """
 
     kind = "hensel"
@@ -667,8 +655,8 @@ class HenselTau(TauSpec):
     def _residue(self, p: int, k: int) -> int:
         root = self._simple_root(p)
         if root is None:
-            return self.fallback.query(p, k).value
-        return hensel_lift(self.poly, p, root, k).value
+            return self.fallback._tau(p, k)
+        return _newton(self.poly, self._deriv, p, root, k)
 
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
         if self._simple_root(p) is None:
@@ -692,7 +680,7 @@ class _SplitTau(TauSpec):
         """The spec that answers for the prime p."""
 
     def _residue(self, p: int, k: int) -> int:
-        return self._pick(p).query(p, k).value
+        return self._pick(p)._tau(p, k)
 
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
         return self._pick(p).is_exact_root(h, p)
@@ -835,8 +823,6 @@ def _tau_from_json(data: Mapping, depth: int) -> TauSpec:
 
 def poly_eval_mod(h: Sequence[int], spec: TauSpec, p: int, k: int) -> ResidueClass:
     """h(tau_p) mod p^k by Horner's rule, entirely in Z/p^k Z."""
-    if k == 0:
-        return spec.query(p, 0)
     t = spec.query(p, k).value
     mod = p**k
     return ResidueClass(p, k, _eval_mod(h, t, mod))
@@ -863,13 +849,17 @@ def hensel_lift(f: Sequence[int], p: int, root1: int, k: int) -> ResidueClass:
         raise HenselLiftError(f"{root1} is not a root of the polynomial mod {p}")
     if _eval_mod(deriv, root1, p) == 0:
         raise HenselLiftError(f"root {root1} is not simple mod {p} (derivative vanishes)")
-    if k == 0:
-        return ResidueClass(p, 0, 0)
-    x, prec = root1, 1
+    return ResidueClass(p, k, _newton(f, deriv, p, root1, k))
+
+
+def _newton(f: Sequence[int], deriv: Sequence[int], p: int, x: int, k: int) -> int:
+    """The root of f mod p^k above the simple root x of f mod p, by Newton
+    iteration with doubling precision; deriv is f'.  Unchecked."""
+    prec = 1
     while prec < k:
         prec = min(2 * prec, k)
         mod = p**prec
         fx = _eval_mod(f, x, mod)
         dfx = _eval_mod(deriv, x, mod)
         x = (x - fx * pow(dfx, -1, mod)) % mod
-    return ResidueClass(p, k, x)
+    return x % p**k

@@ -4,8 +4,9 @@ Accepted forms include rational coefficients ("3/2*x^2 - x + 5"), a single
 trailing denominator ("(x^2 + x)/2", "x/2"), implicit multiplication
 ("3x"), parentheses, and unary signs.  Division is restricted to nonzero
 rational constants on the right.  A power or product whose result would
-hold more than _MAX_POWER_BITS bits is rejected before it is built, and so
-is an integer literal longer than the interpreter converts.
+hold more than _MAX_LENGTH coefficients or _MAX_POWER_BITS bits is rejected
+before it is built, and so is an integer literal longer than the interpreter
+converts.
 """
 
 from __future__ import annotations
@@ -21,26 +22,37 @@ class ParseError(ValueError):
 
 _OPS = set("+-*/^()")
 
-# The largest power a^n the parser builds, as a bound on the bits the result
-# holds: its n·deg(a) + 1 coefficients times a bound on their bit length,
-# n·(ceil(log2 of the sum of |a's numerator coefficients|) + ceil(log2 of
-# a's denominator)), or times 1 where that bound is 0.  So for x^n the size
-# is the degree plus one, and for a constant base it is the bit length:
-# x^65535 and 2^65536 fit, x^100000000 does not.  The coefficients count
-# too because the cost of a dense power grows with both: (x + 1)^255 fits
-# and takes a few milliseconds, while (x + 1)^4000 would take half a minute.
-# A product a*b is held to the same bound, measured the same way: deg(a) +
-# deg(b) + 1 coefficients times the sum of the two bit-length bounds.  So
-# (x + 1)^255 fits, and (x + 1)^255 * (x + 1) does not, as (x + 1)^256 does not.
+# The largest power or product the parser builds.  Its dense length, the
+# degree plus one, is at most _MAX_LENGTH: x^65535 fits, x^65536 and
+# x^100000000 do not.  Its size is at most _MAX_POWER_BITS bits, measured as
+# a bound on its nonzero coefficients times a bound on their bit length (or
+# times 1 where that is 0).  The bit bound of e is ceil(log2 of the sum of
+# |e's numerator coefficients|) + ceil(log2 of e's denominator); a^n has n
+# times a's, and a*b the sum of a's and b's.  a^n has one nonzero
+# coefficient when a has one, and at most its length otherwise; a*b has at
+# most the product of a's and b's counts, and at most its length.  So
+# 2^65536 and 3*x^40000 fit, and the cost of a dense power, which grows with
+# both, stays small: (x + 1)^255 fits and takes a few milliseconds, while
+# (x + 1)^256, (x + 1)^255 * (x + 1) and (x + 1)^4000 (half a minute) do not.
+_MAX_LENGTH = 2**16
 _MAX_POWER_BITS = 2**16
+
+
+def _int_literal(digits: str, where: str) -> int:
+    """int(digits) for an optionally signed decimal literal, or a ParseError
+    when it has more digits than the interpreter converts."""
+    # the interpreter's cap on int() of a digit string (none, 0, before
+    # Python 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    count = len(digits.lstrip("-"))
+    if limit and count > limit:
+        raise ParseError(f"integer {where} has {count} digits, more than the limit of {limit}")
+    return int(digits)
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens: list[tuple[str, int]] = []
     i, n = 0, len(text)
-    # the interpreter's cap on int() of a digit string (none, 0, before
-    # Python 3.10.7)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     while i < n:
         ch = text[i]
         if ch.isspace():
@@ -49,11 +61,7 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            if limit and j - i > limit:
-                raise ParseError(
-                    f"integer at position {i} has {j - i} digits, more than the limit of {limit}"
-                )
-            tokens.append(("int", int(text[i:j])))
+            tokens.append(("int", _int_literal(text[i:j], f"at position {i}")))
             i = j
         elif ch in ("x", "X"):
             tokens.append(("x", 0))
@@ -119,8 +127,10 @@ class _Parser:
             kind, value = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer")
-            if _power_bits(base, value) > _MAX_POWER_BITS:
-                raise ParseError(f"power too large: the result would exceed {_MAX_POWER_BITS} bits")
+            if not base.is_zero:
+                deg, terms, bits = _shape(base)
+                n = value * deg
+                _check_size("power", n, 1 if terms == 1 else n + 1, value * bits)
             return base**value
         return base
 
@@ -139,30 +149,36 @@ class _Parser:
         raise ParseError(f"unexpected token {kind!r}")
 
 
-def _shape(e: RingElement) -> tuple[int, int]:
-    """The degree of a nonzero e and the bound on its coefficients' bit
-    length: ceil(log2 of the sum of |numerator coefficients|) + ceil(log2
-    of the denominator)."""
+def _shape(e: RingElement) -> tuple[int, int, int]:
+    """The degree of a nonzero e, its count of nonzero coefficients, and the
+    bound on their bit length: ceil(log2 of the sum of |numerator
+    coefficients|) + ceil(log2 of the denominator)."""
     norm = sum(map(abs, e.num))
-    return e.degree, (norm - 1).bit_length() + (e.den - 1).bit_length()
+    terms = len(e.num) - e.num.count(0)
+    return e.degree, terms, (norm - 1).bit_length() + (e.den - 1).bit_length()
 
 
-def _power_bits(base: RingElement, n: int) -> int:
-    """The bound on the size of base**n that _MAX_POWER_BITS limits."""
-    if base.is_zero:
-        return 1
-    deg, bits = _shape(base)
-    return (n * deg + 1) * max(n * bits, 1)
+def _check_size(what: str, degree: int, terms: int, bits: int) -> None:
+    """Raise ParseError unless a result of this degree, with at most terms
+    nonzero coefficients of at most bits bits, is within the bounds."""
+    if degree >= _MAX_LENGTH:
+        raise ParseError(
+            f"{what} too large: the result would hold more than {_MAX_LENGTH} coefficients"
+        )
+    if terms * max(bits, 1) > _MAX_POWER_BITS:
+        raise ParseError(f"{what} too large: the result would exceed {_MAX_POWER_BITS} bits")
 
 
 def _product(a: RingElement, b: RingElement) -> RingElement:
-    """a*b, once the bound on its size is within _MAX_POWER_BITS."""
+    """a*b, once the bounds on its size are within the limits."""
     if a.is_zero or b.is_zero:
         return a * b
-    (da, ba), (db, bb) = _shape(a), _shape(b)
-    if (da + db + 1) * max(ba + bb, 1) > _MAX_POWER_BITS:
-        raise ParseError(f"product too large: the result would exceed {_MAX_POWER_BITS} bits")
-    return a * b
+    (da, ta, ba), (db, tb, bb) = _shape(a), _shape(b)
+    _check_size("product", da + db, min(ta * tb, da + db + 1), ba + bb)
+    # RingElement.__mul__ takes each nonzero coefficient of its left operand
+    # times every coefficient of its right one: put the cheaper order first,
+    # so a dense factor times a sparse one of high degree stays fast
+    return a * b if ta * (db + 1) <= tb * (da + 1) else b * a
 
 
 def _reciprocal(divisor: RingElement) -> RingElement:

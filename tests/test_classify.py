@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasieuclid import (
     X,
@@ -171,6 +173,14 @@ def test_log_generic_first_digit_formula():
             t = math.floor(math.log(p))
             expected = (t * t - t + 2) % p
             assert poly_eval_mod(h, spec, p, 1).value == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(2**64), 2**64), st.sampled_from(primes_upto(10**4)), st.integers(1, 12))
+def test_log_generic_is_the_stream_with_digit_zero_replaced(seed, p, k):
+    lifted = log_generic(seed).query(p, k).value - math.floor(math.log(p))
+    s = stream(seed)
+    assert lifted == s.query(p, k).value - s.query(p, 1).value
 
 
 def test_zero_on_finite_set():

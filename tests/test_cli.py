@@ -447,6 +447,31 @@ def test_integer_literal_past_the_digit_limit_is_usage_error(json_flag):
     assert "set_int_max_str_digits" not in proc.stderr
 
 
+@pytest.mark.parametrize("source", ["--tau", "--tau-file"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_tau_integer_past_the_digit_limit_is_usage_error(json_flag, source, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    spec = '{"kind": "constant", "value": ' + "1" * (limit + 1) + "}"
+    if source == "--tau-file":
+        spec_path = tmp_path / "tau.json"
+        spec_path.write_text(spec)
+        spec = str(spec_path)
+    proc = _run_module("member", *json_flag, source, spec, "x")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"has {limit + 1} digits, more than the limit of {limit}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
+
+
+def test_printed_sparse_quotient_reads_back(capsys):
+    code, out, _ = run_cli(capsys, "divmod", "x^40001", "x/3")
+    assert code == 0
+    assert out.splitlines()[0] == "quotient:  3*x^40000"
+    code, out, err = run_cli(capsys, "member", "3*x^40000")
+    assert (code, out, err) == (0, "3*x^40000: true\n", "")
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 def test_result_past_the_digit_limit_is_one_error_line(json_flag):
     proc = _run_module("member", *json_flag, "2^20000")

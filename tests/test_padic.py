@@ -32,6 +32,8 @@ from quasieuclid import (
     zero,
 )
 
+from _corpus import member_pair
+
 SMALL_PRIMES = primes_upto(50)
 
 
@@ -291,6 +293,41 @@ def _witness_reference(e, spec):
         if r:
             return p, v, r
     return None
+
+
+# Fresh specs, one of each kind; the hensel one falls back at the primes
+# where x^2 - 2 has no root (3, 5, 11, 13, ...).
+FRESH_SPECS = {
+    "constant": lambda: constant(5),
+    "stream": lambda: stream(42),
+    "log_generic": lambda: log_generic(7),
+    "hensel": lambda: hensel((-2, 0, 1), stream(3)),
+    "piecewise": lambda: piecewise({2: constant(1), 7: hensel((-2, 0, 1), zero())}, log_generic(3)),
+}
+
+
+@pytest.mark.parametrize("make", FRESH_SPECS.values(), ids=FRESH_SPECS.keys())
+def test_ring_operations_build_no_residue_class(monkeypatch, make):
+    rng = random.Random(5)
+    members = RingContext(make())
+    pairs = [member_pair(members, rng) for _ in range(20)]
+    n = 2**3 * 3**2 * 5 * 7 * 17 * 41
+    expected = _eval_mod_reference((1, 2, 3), members.tau, n)
+    built = []
+    post_init = ResidueClass.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ResidueClass, "__post_init__", counting)
+    ctx = RingContext(make())
+    assert ctx.tau.eval_mod((1, 2, 3), n) == expected
+    assert not ctx.is_member(RingElement((1, 2, 3), n))
+    for a, b in pairs:
+        assert ctx.is_member(a) and ctx.is_member(b)
+        ctx.qe_chain(a, b)
+    assert built == []
 
 
 def test_concurrent_queries_agree():

@@ -1,3 +1,4 @@
+import json
 import sys
 import time
 from fractions import Fraction
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from quasieuclid import ONE, X, ZERO, RingElement, as_element, compare, qdiv
 from quasieuclid.poly import _submul, format_element
 from quasieuclid.syntax import ParseError, parse_element
+
+from record_golden_cli import GOLDEN
 
 elements = st.builds(
     RingElement,
@@ -362,6 +365,15 @@ def test_parse_accepts_products_within_the_budget():
     assert parse_element(_repeat("(x+1)", 255)) == (X + 1) ** 255
 
 
+def test_parse_multiplies_a_dense_factor_by_a_sparse_one_quickly():
+    dense = "(" + "+".join(f"x^{i}" for i in range(500)) + ")"
+    expected = RingElement((0,) * 60000 + (1,) * 500)
+    for text in (dense + "*x^60000", "x^60000*" + dense):
+        start = time.perf_counter()
+        assert parse_element(text) == expected
+        assert time.perf_counter() - start < 1, text
+
+
 def test_parse_rejects_integers_past_the_interpreter_digit_limit():
     limit = sys.get_int_max_str_digits()
     assert parse_element("7" * limit) == as_element(int("7" * limit))
@@ -373,6 +385,64 @@ def test_parse_rejects_integers_past_the_interpreter_digit_limit():
 @given(elements)
 def test_format_parse_round_trip(e):
     assert parse_element(format_element(e)) == e
+
+
+def _sparse(terms, den):
+    num = [0] * (max(terms, default=0) + 1)
+    for i, c in terms.items():
+        num[i] = c
+    return RingElement(num, den)
+
+
+# A few terms of degree below 2^16 with large coefficients over a large
+# denominator, such as the 3*x^40000 that divmod('x^40001', 'x/3') prints.
+sparse_elements = st.builds(
+    _sparse,
+    st.dictionaries(st.integers(0, 2**16 - 1), st.integers(-(2**64), 2**64), max_size=4),
+    st.integers(1, 2**32),
+)
+
+
+def _golden_elements():
+    """Every element the golden CLI set prints, read from its --json output."""
+    found = []
+
+    def walk(node):
+        if isinstance(node, dict) and node.keys() == {"num", "den"}:
+            found.append(RingElement.from_json(node))
+        elif isinstance(node, dict):
+            for value in node.values():
+                walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+
+    for entry in json.loads(GOLDEN.read_text(encoding="utf-8")):
+        if "--json" in entry["argv"] and entry["stdout"]:
+            walk(json.loads(entry["stdout"]))
+    return found
+
+
+GOLDEN_ELEMENTS = _golden_elements()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_elements)
+def test_format_parse_round_trip_sparse(e):
+    assert parse_element(format_element(e)) == e
+
+
+def test_every_golden_element_reads_back():
+    assert len(GOLDEN_ELEMENTS) > 500
+    for e in GOLDEN_ELEMENTS:
+        assert parse_element(format_element(e)) == e
+
+
+def test_parse_accepts_sparse_scaled_powers():
+    assert parse_element("3*x^40000") == 3 * X**40000
+    assert parse_element("-3/7*x^65535 + 2^60*x^30000") == _sparse(
+        {30000: 7 * 2**60, 65535: -3}, 7
+    )
 
 
 def test_json_round_trip():
