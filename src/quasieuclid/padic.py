@@ -64,6 +64,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 1849:  # 43^2: a composite below it has a prime factor <= 41
+        return True
     d = n - 1
     s = ((d & -d).bit_length()) - 1
     d >>= s

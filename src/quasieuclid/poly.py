@@ -179,6 +179,12 @@ class RingElement:
     def __pow__(self, exponent: int) -> "RingElement":
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
+        num = self._num
+        if num and num.count(0) == len(num) - 1:
+            # a monomial c*x^d/n: its power is c^e*x^(d*e)/n^e, built at once
+            out = [0] * ((len(num) - 1) * exponent + 1)
+            out[-1] = num[-1] ** exponent
+            return RingElement._from_normal(out, self._den**exponent)
         result, base, e = ONE, self, exponent
         while e:
             if e & 1:
@@ -241,25 +247,27 @@ def as_element(value) -> RingElement:
     return e
 
 
-def _submul(w: RingElement, p: RingElement, u: RingElement) -> RingElement:
-    """w - p*u as one coefficient list over one denominator.
+def _submul(w: RingElement, p: RingElement, u: RingElement, k: int = 1) -> RingElement:
+    """k*w - p*u for an integer k, as one coefficient list over one
+    denominator.
 
     With w = W/a, p = P/b and u = U/c, the result is
-    (W*(L/a) - P*U*(L/bc))/L for L = lcm(a, bc): one scaled pass when p is
+    (k*W*(L/a) - P*U*(L/bc))/L for L = lcm(a, bc): one scaled pass when p is
     a constant, one convolution otherwise, and one _from_normal call.
     """
     pn, un = p._num, u._num
-    if not pn or not un:
-        return w
     wn, wd = w._num, w._den
+    if not pn or not un:
+        return w if k == 1 else RingElement._from_normal([k * x for x in wn], wd)
     pud = p._den * u._den
     g = math.gcd(wd, pud)
     fw, fpu = pud // g, wd // g  # L/a and L/bc
+    kw = k * fw
     if len(pn) == 1:
         c = pn[0] * fpu
-        out = [fw * x - c * y for x, y in zip_longest(wn, un, fillvalue=0)]
+        out = [kw * x - c * y for x, y in zip_longest(wn, un, fillvalue=0)]
     else:
-        out = [fw * x for x in wn]
+        out = [kw * x for x in wn]
         out += [0] * (len(pn) + len(un) - 1 - len(out))
         for i, a in enumerate(pn):
             if a:

@@ -61,6 +61,33 @@ def phi(q: RingElement, r: RingElement) -> NormTuple:
     return NormTuple(delta, q.degree + 1, r.degree, denom, scaled)
 
 
+_Matrix = tuple[int, int, int, int]
+
+
+def _run(A: int, B: int) -> tuple[list[int], _Matrix]:
+    """Integer Euclid on A, B > 0 up to its first exact division: the
+    quotients c_1..c_k (none when A/B is an integer) and the matrix
+    (m00, m01, m10, m11) taking (x_0, x_1) to (x_k, x_{k+1}), where
+    x_{i+1} = x_{i-1} - c_i*x_i."""
+    quots = []
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    c, r = divmod(A, B)
+    while r:
+        quots.append(c)
+        m00, m01, m10, m11 = m10, m11, m00 - c * m10, m01 - c * m11
+        A, B = B, r
+        c, r = divmod(A, B)
+    return quots, (m00, m01, m10, m11)
+
+
+def _combine(m: _Matrix, w: RingElement, u: RingElement) -> tuple[RingElement, RingElement]:
+    """(m00*w + m01*u, m10*w + m11*u) for a run's matrix m, one _submul each;
+    m00 = 0 only after a one-quotient run, whose first row is (0, 1)."""
+    m00, m01, m10, m11 = m
+    first = u if m00 == 0 else _submul(w, RingElement._from_normal((-m01,), 1), u, m00)
+    return first, _submul(w, RingElement._from_normal((-m11,), 1), u, m10)
+
+
 class RingContext:
     """A choice of tau; membership of h/n is tau.eval_mod(h, n) == 0.
 
@@ -112,46 +139,79 @@ class RingContext:
         and negates the quotient.
         """
         q, r = as_element(q), as_element(r)
-        qn, rn = q.num, r.num
-        if not rn:
+        if r.is_zero:
             raise ZeroDivisionError("division by zero in the ring")
+        return self._divmod(q, r)
+
+    def _divmod(self, q: RingElement, r: RingElement) -> tuple[RingElement, RingElement]:
+        # divmod on elements q and r != 0, unchecked: the chain loop's step
+        qn, rn = q._num, r._num
         if rn[-1] < 0:
-            p, s = self.divmod(q, -r)
+            p, s = self._divmod(q, -r)
             return -p, s
         if len(qn) == len(rn):
-            p = RingElement._from_normal((qn[-1] * r.den // (q.den * rn[-1]),), 1)
+            p = RingElement._from_normal((qn[-1] * r._den // (q._den * rn[-1]),), 1)
         else:
             quo, _, den = _pdiv(qn, rn)
-            if r.den != 1:
-                quo = [r.den * c for c in quo]
-            p = RingElement._from_normal(quo, den * q.den)  # P/m
-            m = p.den
-            k = self.tau.eval_mod(p.num, m) if m > 1 else 0
+            if r._den != 1:
+                quo = [r._den * c for c in quo]
+            p = RingElement._from_normal(quo, den * q._den)  # P/m
+            m = p._den
+            k = self.tau.eval_mod(p._num, m) if m > 1 else 0
             if k:
-                shifted = list(p.num)
+                shifted = list(p._num)
                 shifted[0] -= k
                 p = RingElement._from_normal(shifted, m)
         s = _submul(q, p, r)
-        if s.num and s.num[-1] < 0:
+        if s._num and s._num[-1] < 0:
             return p - ONE, s + r
         return p, s
 
     # -- chains, gcd, divisibility -----------------------------------------
 
-    def _steps(self, a, b, max_steps: int) -> Iterator[tuple[RingElement, RingElement]]:
-        """The (quotient, remainder) of each division step from (a, b),
-        through the first zero remainder; a and b are validated once."""
+    def _steps(
+        self, a, b, max_steps: int
+    ) -> Iterator[tuple[RingElement | list[int], _Matrix | None, RingElement]]:
+        """The division chain from (a, b), through the first zero remainder,
+        as runs (quotients, m, s) and division steps (p, None, s), each with
+        its last remainder s; a and b are validated once, and max_steps
+        bounds the number of quotients.
+
+        While prev and cur have equal degrees and positive leading
+        coefficients, a step's quotient is the integer c = floor(lc prev /
+        lc cur) and its remainder has leading coefficient lc prev - c*lc
+        cur, so a run of such steps is integer Euclid on the two leading
+        coefficients (Lehmer; Knuth, TAOCP vol. 2, 4.5.2, Algorithm L, here
+        with exact leading coefficients).  The run stops before the first
+        exact ratio, where the lower terms decide the sign of the remainder,
+        and builds the new (prev, cur) from its integer matrix m with one
+        combination each.  That step and every step that drops the degree
+        are division steps.
+        """
         if max_steps < 1:
             raise ValueError("max_steps must be positive")
         a, b = self.make_element(as_element(a)), self.make_element(as_element(b))
         if b.is_zero:
             raise ZeroDivisionError("chain requires b != 0")
-        prev, cur = a, b
-        for _ in range(max_steps):
-            p, s = self.divmod(prev, cur)
-            yield p, s
+        prev, cur, n = a, b, 0
+        while True:
+            pn, cn = prev._num, cur._num
+            if len(pn) == len(cn) and pn[-1] > 0 and cn[-1] > 0:
+                quots, m = _run(pn[-1] * cur._den, cn[-1] * prev._den)
+                if quots:
+                    # a run ends before an exact ratio, so a step follows it
+                    n += len(quots)
+                    if n >= max_steps:
+                        break
+                    prev, cur = _combine(m, prev, cur)
+                    yield quots, m, cur
+            p, s = self._divmod(prev, cur)
+            yield p, None, s
             if s.is_zero:
                 return
+            n += 1
+            if n >= max_steps:
+                break
             prev, cur = cur, s
         raise StepBudgetExceeded(
             f"division chain from ({a}, {b}) exceeded {max_steps} steps"
@@ -163,18 +223,24 @@ class RingContext:
         Termination is guaranteed by the norm descent; max_steps is a
         safety valve whose breach signals a defect, not a usage error.
         """
-        quots = tuple(p for p, _ in self._steps(a, b, max_steps))
-        return DivisionChain(as_element(a), as_element(b), quots)
+        quots = []
+        for p, m, _ in self._steps(a, b, max_steps):
+            if m is None:
+                quots.append(p)
+            else:
+                quots += [RingElement._from_normal((c,), 1) for c in p]
+        return DivisionChain(as_element(a), as_element(b), tuple(quots))
 
     def gcd_bezout(self, a, b) -> tuple[RingElement, RingElement, RingElement]:
         """(g, u, v) with g = u*a + v*b, g > 0, and g dividing both a and b.
 
         Half-extended: the division chain carries only the cofactor of a
-        (u <- u_prev - p*u) beside the remainders, and v = (g - u*a)/b is
-        one exact division at the end (Knuth, TAOCP vol. 2, 4.5.2, the
-        remark after Algorithm X).  On integers this reproduces the
-        extended Euclidean algorithm exactly.  A non-member a or b raises
-        NotMemberError, b = 0 included.
+        beside the remainders, u <- u_prev - p*u for a division step and
+        the run's integer matrix on (u_prev, u) for a run, and v =
+        (g - u*a)/b is one exact division at the end (Knuth, TAOCP vol. 2,
+        4.5.2, the remark after Algorithm X).  On integers this reproduces
+        the extended Euclidean algorithm exactly.  A non-member a or b
+        raises NotMemberError, b = 0 included.
         """
         a, b = as_element(a), as_element(b)
         if a.is_zero and b.is_zero:
@@ -183,10 +249,14 @@ class RingContext:
             g, u, v = self.make_element(a), ONE, ZERO
         else:
             g, u_prev, u = b, ONE, ZERO
-            for p, s in self._steps(a, b, 10_000):
+            for p, m, s in self._steps(a, b, 10_000):
                 if s.is_zero:
                     break
-                g, u_prev, u = s, u, _submul(u_prev, p, u)
+                if m is None:
+                    u_prev, u = u, _submul(u_prev, p, u)
+                else:
+                    u_prev, u = _combine(m, u_prev, u)
+                g = s
             v, rem = qdiv(_submul(g, u, a), b)
             if not rem.is_zero:
                 raise RuntimeError("Bezout cofactor v is not exact (bug)")

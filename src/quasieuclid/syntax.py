@@ -11,6 +11,7 @@ converts.
 
 from __future__ import annotations
 
+import math
 import sys
 
 from .poly import RingElement, as_element
@@ -21,6 +22,8 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*/^()")
+# ASCII only: str.isdigit() also admits digits such as "²" that int() rejects
+_DIGITS = frozenset("0123456789")
 
 # The largest power or product the parser builds.  Its dense length, the
 # degree plus one, is at most _MAX_LENGTH: x^65535 fits, x^65536 and
@@ -57,9 +60,9 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", _int_literal(text[i:j], f"at position {i}")))
             i = j
@@ -91,11 +94,16 @@ class _Parser:
 
     def expr(self) -> RingElement:
         value = self.term()
+        if self.peek() not in ("+", "-"):
+            return value
+        # a sum keeps each term's denominator and nonzero coefficients and
+        # adds them once, so it costs the total length of its terms, not
+        # their number times the degree of the sum
+        terms = [_sparse(value, 1)]
         while self.peek() in ("+", "-"):
             op, _ = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            terms.append(_sparse(self.term(), 1 if op == "+" else -1))
+        return _sum(terms)
 
     def term(self) -> RingElement:
         value = self.unary()
@@ -179,6 +187,28 @@ def _product(a: RingElement, b: RingElement) -> RingElement:
     # times every coefficient of its right one: put the cheaper order first,
     # so a dense factor times a sparse one of high degree stays fast
     return a * b if ta * (db + 1) <= tb * (da + 1) else b * a
+
+
+def _sparse(e: RingElement, sign: int) -> tuple[int, list[tuple[int, int]]]:
+    """e's denominator and the nonzero coefficients (i, sign*c) of its
+    numerator."""
+    num = e.num
+    if num.count(0) == len(num) - 1:
+        # c*x^d: the count finds its one coefficient at C speed
+        return e.den, [(len(num) - 1, sign * num[-1])]
+    return e.den, [(i, sign * c) for i, c in enumerate(num) if c]
+
+
+def _sum(terms: list[tuple[int, list[tuple[int, int]]]]) -> RingElement:
+    """The sum of terms in _sparse form, added once over their lcm
+    denominator."""
+    den = math.lcm(*(d for d, _ in terms))
+    out = [0] * (1 + max((cs[-1][0] for _, cs in terms if cs), default=-1))
+    for d, cs in terms:
+        f = den // d
+        for i, c in cs:
+            out[i] += f * c
+    return RingElement._from_normal(out, den)
 
 
 def _reciprocal(divisor: RingElement) -> RingElement:

@@ -243,6 +243,14 @@ def test_truncated_exponent_is_usage_error():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("text", ["x\u00b2", "\u0663x"], ids=["superscript-two", "arabic-indic-three"])
+def test_non_ascii_digits_are_usage_errors(text):
+    proc = _run_module("member", text)
+    assert proc.returncode == 2
+    assert "unexpected character" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_piecewise_overrides_list_is_usage_error():
     tau = '{"kind":"piecewise","overrides":[],"default":{"kind":"zero"}}'
     proc = _run_module("member", "--tau", tau, "x/2")

@@ -62,6 +62,13 @@ def test_is_prime_against_sieve():
         assert is_prime(n) == (n in sieve)
 
 
+@pytest.mark.parametrize("n, prime", [(1681, False), (1763, False), (1847, True), (1849, False), (1861, True), (2021, False)])
+def test_is_prime_around_the_square_of_43(n, prime):
+    # below 43^2 = 1849 trial division by the bases up to 41 decides; 1849
+    # = 43^2 and 2021 = 43*47 need Miller-Rabin, as does the prime 1861
+    assert is_prime(n) == prime
+
+
 def test_is_prime_rejects_psi_12():
     # psi_12 (Sorenson-Webster 2017) is a strong pseudoprime to the twelve
     # prime bases 2..37, so it needs base 41 to be rejected

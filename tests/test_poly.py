@@ -287,6 +287,14 @@ def test_submul_matches_fraction_reference(w, p, u):
     _assert_normal(result)
 
 
+@settings(max_examples=200, deadline=None)
+@given(big_elements, multipliers, st.one_of(st.just(ZERO), big_elements), st.integers(-(2**64), 2**64))
+def test_submul_scales_w_by_an_integer(w, p, u, k):
+    result = _submul(w, p, u, k)
+    assert result == k * w - p * u
+    _assert_normal(result)
+
+
 def test_submul_examples():
     half_x = RingElement((0, 1), 2)
     assert _submul(half_x, ZERO, X) == half_x
@@ -297,6 +305,15 @@ def test_submul_examples():
     # (x^2 + 1)/4 - (x/2 - 1)(x/2 + 1) = 5/4: the top terms cancel
     w = RingElement((1, 0, 1), 4)
     assert _submul(w, RingElement((-2, 1), 2), RingElement((2, 1), 2)) == RingElement((5,), 4)
+
+
+@pytest.mark.parametrize("e", [X, 3 * X**4, RingElement((0, 0, -5), 7), as_element(-2), RingElement((3,), 4)])
+def test_monomial_powers_match_repeated_products(e):
+    power = ONE
+    for n in range(8):
+        assert e**n == power
+        _assert_normal(e**n)
+        power = power * e
 
 
 # -- text form -----------------------------------------------------------------
@@ -372,6 +389,25 @@ def test_parse_multiplies_a_dense_factor_by_a_sparse_one_quickly():
         start = time.perf_counter()
         assert parse_element(text) == expected
         assert time.perf_counter() - start < 1, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("+-"), elements), min_size=1, max_size=8))
+def test_parsed_sum_equals_the_term_by_term_sum(terms):
+    text = " ".join(f"{op} ({format_element(e)})" for op, e in terms)
+    expected = ZERO
+    for op, e in terms:
+        expected = expected + e if op == "+" else expected - e
+    assert parse_element(text) == expected
+    assert parse_element(text.replace(" ", "")) == expected
+
+
+def test_parse_sums_many_high_degree_terms_quickly():
+    # 4,000 terms x^0 + ... + x^3999: each term is read once, so the cost
+    # is their total length, not the number of terms times the degree
+    start = time.perf_counter()
+    assert parse_element("+".join(f"x^{i}" for i in range(4000))) == RingElement((1,) * 4000)
+    assert time.perf_counter() - start < 2
 
 
 def test_parse_rejects_integers_past_the_interpreter_digit_limit():

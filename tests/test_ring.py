@@ -575,9 +575,113 @@ def test_gcd_checks_its_cofactor_exactly(monkeypatch):
     # a step sequence that is not the chain of (a, b) leaves g - u*a
     # outside b's multiples; the check is a raise, so it holds under -O
     ctx = RingContext(constant(0))
-    monkeypatch.setattr(ctx, "_steps", lambda a, b, n: iter([(ZERO, as_element(3)), (ONE, ZERO)]))
+    monkeypatch.setattr(ctx, "_steps", lambda a, b, n: iter([(ZERO, None, as_element(3)), (ONE, None, ZERO)]))
     with pytest.raises(RuntimeError, match="not exact"):
         ctx.gcd_bezout(X * X, X + 1)
+
+
+# -- runs of equal-degree steps -------------------------------------------------
+
+
+def _stepwise(ctx, a, b):
+    # The step-at-a-time reference for the run loop: one ctx.divmod per
+    # quotient, with the cofactor of a carried beside the remainders.
+    # Returns the chain's quotients and (g, u, v).
+    a, b = as_element(a), as_element(b)
+    quots, prev, cur = [], a, b
+    g, u_prev, u = b, ONE, ZERO
+    while True:
+        p, s = ctx.divmod(prev, cur)
+        quots.append(p)
+        if s.is_zero:
+            break
+        g, u_prev, u = s, u, u_prev - p * u
+        prev, cur = cur, s
+    v, rem = qdiv(g - u * a, b)
+    assert rem.is_zero
+    if g < ZERO:
+        g, u, v = -g, -u, -v
+    return quots, (g, u, v)
+
+
+def _chain_from_quotients(ctx, rng, kinds):
+    # (a, b, quotients) for the chain whose quotients are drawn by kind,
+    # built backwards from a random gcd: x_{i-1} = q_i*x_i + x_{i+1} with
+    # 0 <= x_{i+1} < x_i, so by the uniqueness of division q_i is the
+    # chain's i-th quotient.  An integer quotient is exact in lc exactly when
+    # x_{i+1} has lower degree than x_i, or the same degree and the same
+    # leading coefficient (then divmod takes its s < 0 branch); so integer
+    # kinds around "poly" put exact ratios at the first, middle and last
+    # position of an equal-degree stretch.  "zero" is a first quotient 0
+    # (a < b).
+    x, nxt = random_member(ctx, rng, max_deg=2, max_den=12), ZERO
+    quots = []
+    for i, kind in enumerate(reversed(kinds)):
+        if kind == "poly":
+            q = random_member(ctx, rng, max_deg=2, max_den=12)
+            q = q if q.degree >= 1 else q + X
+        elif kind == "zero" and i == len(kinds) - 1 and not nxt.is_zero:
+            q = ZERO
+        else:
+            q = as_element(int(kind) if kind.isdigit() else 1)
+            if nxt.is_zero and q == ONE:
+                q = as_element(2)
+        x, nxt = q * x + nxt, x
+        quots.append(q)
+    return x, nxt, quots[::-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(ALL_TAU_KINDS),
+    st.integers(0, 2**32),
+    st.lists(st.sampled_from(["1", "2", "3", "5", "poly", "zero"]), min_size=1, max_size=12),
+    st.booleans(),
+    st.booleans(),
+)
+def test_runs_match_stepwise_divmod(tau, seed, kinds, neg_a, neg_b):
+    ctx = RingContext(tau)
+    rng = random.Random(seed)
+    a, b, quots = _chain_from_quotients(ctx, rng, kinds)
+    if not (neg_a or neg_b):
+        assert list(ctx.qe_chain(a, b).quotients) == quots
+    a, b = (-a if neg_a else a), (-b if neg_b else b)
+    ref_quots, ref_bezout = _stepwise(ctx, a, b)
+    assert list(ctx.qe_chain(a, b).quotients) == ref_quots
+    assert ctx.gcd_bezout(a, b) == ref_bezout
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(ALL_TAU_KINDS),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.booleans(),
+)
+def test_runs_match_stepwise_divmod_on_random_pairs(tau, seed, neg_a, neg_b):
+    ctx = RingContext(tau)
+    rng = random.Random(seed)
+    a, b = random_member(ctx, rng), random_member(ctx, rng)
+    a, b = (-a if neg_a else a), (-b if neg_b else b)
+    ref_quots, ref_bezout = _stepwise(ctx, a, b)
+    assert list(ctx.qe_chain(a, b).quotients) == ref_quots
+    assert ctx.gcd_bezout(a, b) == ref_bezout
+
+
+def test_step_budget_counts_every_quotient_of_a_run():
+    # F_30*x + 1 over F_29*x: one run of 27 quotients 1, the exact ratio
+    # F_3/F_2 = 2, then integer Euclid on the constants; the budget is met
+    # exactly by the chain's length and broken at every smaller value,
+    # inside the run included
+    from quasieuclid import StepBudgetExceeded, fibonacci
+
+    ctx = RingContext(constant(0))
+    a, b = RingElement((1, fibonacci(30))), RingElement((0, fibonacci(29)))
+    quots, _ = _stepwise(ctx, a, b)
+    assert ctx.qe_chain(a, b, max_steps=len(quots)).quotients == tuple(quots)
+    for max_steps in (1, 5, 27, 28, len(quots) - 1):
+        with pytest.raises(StepBudgetExceeded, match=f"exceeded {max_steps} steps"):
+            ctx.qe_chain(a, b, max_steps=max_steps)
 
 
 # -- divisibility ----------------------------------------------------------------
