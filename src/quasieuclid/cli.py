@@ -106,22 +106,36 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_tau(args) -> TauSpec:
     if args.tau and args.tau_file:
         raise UsageError("--tau and --tau-file are mutually exclusive")
-    text = args.tau
     if args.tau_file:
-        try:
-            with open(args.tau_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read tau file: {exc}")
-    if text is not None:
-        try:
-            return tau_from_json(json.loads(text, parse_int=_json_int))
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError, RecursionError) as exc:
-            # RecursionError: JSON nested too deep for the decoder itself
-            raise UsageError(f"bad tau spec: {exc}")
-    if args.seed is not None:
-        return stream(args.seed)
-    return zero()
+        data = _read_json(args.tau_file, "cannot read tau file", "bad tau spec")
+    elif args.tau is not None:
+        data = _decode_json(args.tau, "bad tau spec")
+    else:
+        return zero() if args.seed is None else stream(args.seed)
+    try:
+        return tau_from_json(data)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"bad tau spec: {exc}")
+
+
+def _read_json(path: str, unreadable: str, malformed: str):
+    """The JSON value in the UTF-8 file at path; a file that cannot be read
+    or decoded is a UsageError led by unreadable, bad JSON one led by
+    malformed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"{unreadable}: {exc}")
+    return _decode_json(text, malformed)
+
+
+def _decode_json(text: str, malformed: str):
+    try:
+        return json.loads(text, parse_int=_json_int)
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: JSON nested too deep for the decoder itself
+        raise UsageError(f"{malformed}: {exc}")
 
 
 def _json_int(digits: str) -> int:
@@ -156,8 +170,8 @@ def _cmd_divmod(ctx, args):
 
 
 def _cmd_gcd(ctx, args):
-    a = ctx.make_element(_parse(args.a))
-    b = ctx.make_element(_parse(args.b))
+    a = _parse(args.a)
+    b = _parse(args.b)
     g, u, v = ctx.gcd_bezout(a, b)
     payload = {
         "a": a.to_json(),
@@ -236,11 +250,7 @@ def _cmd_compare(ctx, args):
 
 
 def _norm_descent_demo(ctx, args, report) -> tuple[dict, list[str]]:
-    try:
-        with open(args.norm_file, "r", encoding="utf-8") as fh:
-            table = json.load(fh, parse_int=_json_int)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read norm table: {exc}")
+    table = _read_json(args.norm_file, "cannot read norm table", "cannot read norm table")
     if not isinstance(table, dict):
         raise UsageError("norm table must be a JSON object {element: value}")
     norms = {}

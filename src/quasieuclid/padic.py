@@ -451,6 +451,7 @@ class TauSpec(ABC):
     """
 
     kind: str = ""
+    _fields: tuple[str, ...] = ()  # JSON fields besides "kind", in constructor order
 
     def __init__(self) -> None:
         self._cache: dict[tuple[int, int], int] = {}
@@ -498,9 +499,14 @@ class TauSpec(ABC):
         """
         return False
 
-    @abstractmethod
     def to_json(self) -> dict:
         """JSON-serializable description; inverse of tau_from_json."""
+        return {"kind": self.kind, **{f: getattr(self, f) for f in self._fields}}
+
+    @classmethod
+    def _read(cls, data: Mapping, depth: int) -> TauSpec:
+        """The spec of this kind that data describes, its keys checked, at depth."""
+        return cls(*(data[f] for f in cls._fields))
 
     def __repr__(self) -> str:
         try:
@@ -520,6 +526,7 @@ class ConstantTau(TauSpec):
     """The canonical image of an integer: tau_p = z for every p."""
 
     kind = "constant"
+    _fields = ("value",)
 
     def __init__(self, value: int) -> None:
         super().__init__()
@@ -534,20 +541,15 @@ class ConstantTau(TauSpec):
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
         return _eval_int(h, self.value) == 0
 
-    def to_json(self) -> dict:
-        return {"kind": "constant", "value": self.value}
-
 
 class ZeroTau(ConstantTau):
     """tau_p = 0 for every p."""
 
     kind = "zero"
+    _fields = ()
 
     def __init__(self) -> None:
         super().__init__(0)
-
-    def to_json(self) -> dict:
-        return {"kind": "zero"}
 
 
 class StreamTau(TauSpec):
@@ -558,6 +560,7 @@ class StreamTau(TauSpec):
     """
 
     kind = "stream"
+    _fields = ("seed",)
 
     def __init__(self, seed: int) -> None:
         super().__init__()
@@ -571,9 +574,6 @@ class StreamTau(TauSpec):
 
     def _residue(self, p: int, k: int) -> int:
         return _eval_int([self._digit(p, i) for i in range(k)], p)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "seed": self.seed}
 
 
 # _EXP_CEIL[n - 1] is the least integer above e^n; grown on demand by
@@ -638,6 +638,7 @@ class HenselTau(TauSpec):
     """
 
     kind = "hensel"
+    _fields = ("poly", "fallback")
 
     def __init__(self, poly: Sequence[int], fallback: TauSpec) -> None:
         super().__init__()
@@ -668,10 +669,17 @@ class HenselTau(TauSpec):
 
     def to_json(self) -> dict:
         return {
-            "kind": "hensel",
+            "kind": self.kind,
             "poly": list(self.poly),
             "fallback": self.fallback.to_json(),
         }
+
+    @classmethod
+    def _read(cls, data: Mapping, depth: int) -> TauSpec:
+        poly = data["poly"]
+        if not isinstance(poly, list):
+            raise ValueError(f"hensel 'poly' must be a list of integers, got {poly!r}")
+        return cls(poly, _tau_from_json(data["fallback"], depth + 1))
 
 
 class _SplitTau(TauSpec):
@@ -692,6 +700,7 @@ class PiecewiseTau(_SplitTau):
     """Per-prime overrides over a default spec."""
 
     kind = "piecewise"
+    _fields = ("overrides", "default")
 
     def __init__(self, overrides: Mapping[int, TauSpec], default: TauSpec) -> None:
         super().__init__()
@@ -706,10 +715,23 @@ class PiecewiseTau(_SplitTau):
 
     def to_json(self) -> dict:
         return {
-            "kind": "piecewise",
+            "kind": self.kind,
             "overrides": {str(p): s.to_json() for p, s in sorted(self.overrides.items())},
             "default": self.default.to_json(),
         }
+
+    @classmethod
+    def _read(cls, data: Mapping, depth: int) -> TauSpec:
+        if not isinstance(data["overrides"], Mapping):
+            raise ValueError("piecewise 'overrides' must be an object")
+        overrides = {}
+        for p, sub in data["overrides"].items():
+            # keys are decimal strings as to_json writes them: no sign, space,
+            # leading zero, point or non-ASCII digit
+            if not (isinstance(p, str) and p.isascii() and p.isdigit() and p == str(int(p))):
+                raise ValueError(f"piecewise override key {p!r} must be an integer in decimal")
+            overrides[int(p)] = _tau_from_json(sub, depth + 1)
+        return cls(overrides, _tau_from_json(data["default"], depth + 1))
 
 
 class PredicateTau(_SplitTau):
@@ -735,40 +757,15 @@ class PredicateTau(_SplitTau):
         raise TypeError("predicate-based specs have no JSON form")
 
 
-def constant(value: int) -> TauSpec:
-    return ConstantTau(value)
+constant = ConstantTau
+zero = ZeroTau
+stream = StreamTau
+hensel = HenselTau
+log_generic = LogGenericTau
+piecewise = PiecewiseTau
 
-
-def zero() -> TauSpec:
-    return ZeroTau()
-
-
-def stream(seed: int) -> TauSpec:
-    return StreamTau(seed)
-
-
-def hensel(poly: Sequence[int], fallback: TauSpec) -> TauSpec:
-    return HenselTau(poly, fallback)
-
-
-def log_generic(seed: int) -> TauSpec:
-    return LogGenericTau(seed)
-
-
-def piecewise(overrides: Mapping[int, TauSpec], default: TauSpec) -> TauSpec:
-    return PiecewiseTau(overrides, default)
-
-
-# The fields of each kind of tau spec JSON besides "kind"; any other key is
-# rejected, and so is nesting deeper than _TAU_MAX_DEPTH specs.
-_TAU_FIELDS = {
-    "constant": {"value"},
-    "zero": set(),
-    "stream": {"seed"},
-    "log_generic": {"seed"},
-    "hensel": {"poly", "fallback"},
-    "piecewise": {"overrides", "default"},
-}
+# The kinds with a JSON form, by name
+_KINDS = {cls.kind: cls for cls in (constant, zero, stream, log_generic, hensel, piecewise)}
 _TAU_MAX_DEPTH = 64
 
 
@@ -788,35 +785,13 @@ def _tau_from_json(data: Mapping, depth: int) -> TauSpec:
         kind = data["kind"]
     except (TypeError, KeyError):
         raise ValueError("tau spec JSON must be an object with a 'kind' field")
-    if not isinstance(kind, str) or kind not in _TAU_FIELDS:
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ValueError(f"unknown tau spec kind {kind!r}")
-    unknown = set(data) - _TAU_FIELDS[kind] - {"kind"}
+    unknown = set(data) - set(cls._fields) - {"kind"}
     if unknown:
         raise ValueError(f"unknown field(s) {sorted(unknown)} in a {kind!r} tau spec")
-    if kind == "constant":
-        return ConstantTau(data["value"])
-    if kind == "zero":
-        return ZeroTau()
-    if kind == "stream":
-        return StreamTau(data["seed"])
-    if kind == "log_generic":
-        return LogGenericTau(data["seed"])
-    if kind == "hensel":
-        poly = data["poly"]
-        if not isinstance(poly, list):
-            raise ValueError(f"hensel 'poly' must be a list of integers, got {poly!r}")
-        return HenselTau(poly, _tau_from_json(data["fallback"], depth + 1))
-    # piecewise
-    if not isinstance(data["overrides"], Mapping):
-        raise ValueError("piecewise 'overrides' must be an object")
-    overrides = {}
-    for p, sub in data["overrides"].items():
-        # keys are decimal strings as to_json writes them: no sign, space,
-        # leading zero, point or non-ASCII digit
-        if not (isinstance(p, str) and p.isascii() and p.isdigit() and p == str(int(p))):
-            raise ValueError(f"piecewise override key {p!r} must be an integer in decimal")
-        overrides[int(p)] = _tau_from_json(sub, depth + 1)
-    return PiecewiseTau(overrides, _tau_from_json(data["default"], depth + 1))
+    return cls._read(data, depth)
 
 
 # --------------------------------------------------------------------------

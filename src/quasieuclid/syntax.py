@@ -2,11 +2,11 @@
 
 Accepted forms include rational coefficients ("3/2*x^2 - x + 5"), a single
 trailing denominator ("(x^2 + x)/2", "x/2"), implicit multiplication
-("3x"), parentheses, and unary signs.  Division is restricted to nonzero
-rational constants on the right.  A power or product whose result would
-hold more than _MAX_LENGTH coefficients or _MAX_POWER_BITS bits is rejected
-before it is built, and so is an integer literal longer than the interpreter
-converts.
+("3x"), parentheses nested at most _MAX_NESTING levels deep, and unary
+signs.  Division is restricted to nonzero rational constants on the right.
+A power or product whose result would hold more than _MAX_LENGTH
+coefficients or _MAX_POWER_BITS bits is rejected before it is built, and so
+is an integer literal longer than the interpreter converts.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ _DIGITS = frozenset("0123456789")
 # (x + 1)^256, (x + 1)^255 * (x + 1) and (x + 1)^4000 (half a minute) do not.
 _MAX_LENGTH = 2**16
 _MAX_POWER_BITS = 2**16
+
+# Each level of parentheses costs a few stack frames of the recursive descent.
+_MAX_NESTING = 64
 
 
 def _int_literal(digits: str, where: str) -> int:
@@ -81,6 +84,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -120,11 +124,11 @@ class _Parser:
                 return value
 
     def unary(self) -> RingElement:
-        if self.peek() in ("+", "-"):
-            op, _ = self.take()
-            value = self.unary()
-            return value if op == "+" else -value
-        return self.power()
+        negate = False
+        while self.peek() in ("+", "-"):
+            negate ^= self.take()[0] == "-"
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> RingElement:
         base = self.atom()
@@ -149,10 +153,14 @@ class _Parser:
         if kind == "x":
             return RingElement((0, 1))
         if kind == "(":
+            self.nesting += 1
+            if self.nesting > _MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {_MAX_NESTING} levels deep")
             inner = self.expr()
             if self.peek() != ")":
                 raise ParseError("missing closing parenthesis")
             self.take()
+            self.nesting -= 1
             return inner
         raise ParseError(f"unexpected token {kind!r}")
 

@@ -6,6 +6,7 @@ import pytest
 
 from quasieuclid import RingElement, hensel_lift, parse_element
 from quasieuclid.cli import main
+from quasieuclid.ring import RingContext
 
 ZERO_TAU = '{"kind":"constant","value":0}'
 ONE_TAU = '{"kind":"constant","value":1}'
@@ -500,3 +501,84 @@ def test_norm_file_integer_past_the_digit_limit_is_usage_error(capsys, tmp_path)
     assert code == 2
     assert out == ""
     assert "cannot read norm table" in err
+
+
+# -- parser nesting and the JSON file readers -----------------------------------
+
+
+def test_parentheses_nested_64_levels_parse(capsys):
+    code, out, _ = run_cli(capsys, "member", "(" * 64 + "x/2" + ")" * 64)
+    assert code == 0
+    assert out == "x/2: true\n"
+
+
+@pytest.mark.parametrize("depth", [65, 1000])
+def test_parentheses_nested_too_deep_are_usage_errors(depth):
+    proc = _run_module("member", "(" * depth + "x" + ")" * depth)
+    assert proc.returncode == 2
+    assert "parentheses nested more than 64 levels deep" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("signs, expected", [(5000, "x: true"), (5001, "-x: true")])
+def test_long_runs_of_signs_parse(signs, expected):
+    proc = _run_module("member", "--", "-" * signs + "x")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == expected
+    assert "Traceback" not in proc.stderr
+
+
+_TAU_FILE = ("member", "x/2", "--tau-file")
+_NORM_FILE = ("adversary", "--tau", ZERO_TAU, "1", "x", "--norm-file")
+
+
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (_TAU_FILE, b"[" * 100_000, "error: bad tau spec: maximum recursion depth exceeded"),
+        (_NORM_FILE, b"[" * 100_000, "error: cannot read norm table: maximum recursion depth exceeded"),
+        (_TAU_FILE, b"\xff\xfe", "error: cannot read tau file: 'utf-8' codec can't decode"),
+        (_NORM_FILE, b"\xff\xfe", "error: cannot read norm table: 'utf-8' codec can't decode"),
+        (_TAU_FILE, b'{"kind":', "error: bad tau spec: Expecting value"),
+        (_NORM_FILE, b'{"x":', "error: cannot read norm table: Expecting value"),
+        (_TAU_FILE, None, "error: cannot read tau file: [Errno"),
+        (_NORM_FILE, None, "error: cannot read norm table: [Errno"),
+    ],
+    ids=[
+        "tau-nested-too-deep",
+        "norm-nested-too-deep",
+        "tau-not-utf-8",
+        "norm-not-utf-8",
+        "tau-malformed",
+        "norm-malformed",
+        "tau-missing",
+        "norm-missing",
+    ],
+)
+def test_json_files_that_cannot_be_read_are_usage_errors(tmp_path, argv, content, message):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    proc = _run_module(*argv, str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(message)
+    assert "Traceback" not in proc.stderr
+
+
+def test_gcd_checks_each_input_once(capsys, monkeypatch):
+    checked = []
+    witness = RingContext.membership_witness
+
+    def counting(self, e):
+        checked.append(e)
+        return witness(self, e)
+
+    monkeypatch.setattr(RingContext, "membership_witness", counting)
+    code, out, _ = run_cli(capsys, "gcd", "--tau", ZERO_TAU, "x/2", "2")
+    assert code == 0
+    assert "bezout: 2 = (0)*(x/2) + (1)*(2)" in out
+    assert checked == [parse_element("x/2"), parse_element("2")]
+    code, _, err = run_cli(capsys, "gcd", "--tau", ONE_TAU, "2", "x/2")
+    assert code == 1
+    assert "x/2 is not in the ring" in err

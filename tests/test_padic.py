@@ -634,3 +634,33 @@ def test_simple_root_at_a_large_prime():
     assert r == 59713600
     assert (r * r - 2) % p == 0 and r < p - r
     assert hensel((1, 0, 1), zero())._simple_root(p) is None  # p = 3 mod 4
+
+
+# -- the kind table ------------------------------------------------------------
+
+# One spec of each kind that tau_from_json reads, nested kinds over leaves.
+KIND_SAMPLES = {
+    "constant": constant(-3),
+    "zero": zero(),
+    "stream": stream(42),
+    "log_generic": log_generic(7),
+    "hensel": hensel((-2, 0, 1), stream(3)),
+    "piecewise": piecewise({2: constant(1), 7: hensel((-2, 0, 1), zero())}, log_generic(3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(padic._KINDS))
+def test_every_kind_in_the_table_reads_back(kind):
+    spec = KIND_SAMPLES[kind]
+    assert type(spec) is padic._KINDS[kind]
+    clone = tau_from_json(spec.to_json())
+    assert type(clone) is type(spec)
+    assert clone.to_json() == spec.to_json()
+    for h in [(5,), (1, 2, 3), (-2, 0, 1), (0, 4, 0, 9)]:
+        for n in (1, 12, 2**3 * 3**2 * 5 * 7, 7**4 * 11):
+            assert clone.eval_mod(h, n) == spec.eval_mod(h, n)
+    lacking = {f for cls in padic._KINDS.values() for f in cls._fields} - set(spec._fields)
+    for key in sorted(lacking) + ["bogus"]:
+        with pytest.raises(ValueError) as err:
+            tau_from_json(dict(spec.to_json(), **{key: 1}))
+        assert str(err.value) == f"unknown field(s) [{key!r}] in a {kind!r} tau spec"

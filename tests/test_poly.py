@@ -486,3 +486,17 @@ def test_json_round_trip():
     assert RingElement.from_json(e.to_json()) == e
     assert e.to_json() == {"num": [10, -2, 3], "den": 2}
     assert ZERO.to_json() == {"num": [], "den": 1}
+
+
+def test_parse_nesting_up_to_64_levels():
+    assert parse_element("(" * 64 + "x/2" + ")" * 64) == RingElement((0, 1), 2)
+    for depth in (65, 1000):
+        with pytest.raises(ParseError, match="parentheses nested more than 64 levels deep"):
+            parse_element("(" * depth + "x" + ")" * depth)
+
+
+def test_parse_sign_runs_in_a_loop():
+    assert parse_element("-" * 5000 + "x") == RingElement((0, 1))
+    assert parse_element("-+" * 2500 + "-x^2") == RingElement((0, 0, -1))
+    assert parse_element("-x^2") == RingElement((0, 0, -1))
+    assert parse_element("2*--x - -3") == RingElement((3, 2))
