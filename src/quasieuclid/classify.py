@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .padic import (
+    BudgetExceeded,
     PredicateTau,
     TauSpec,
     _eval_mod,
@@ -71,13 +72,26 @@ class ShScan:
         }
 
 
+# The largest scan box: the sieve to SCAN_P_MAX takes a byte per integer
+# (10 MB), and SCAN_K_MAX bounds the digits of tau_p asked for at each hit prime.
+SCAN_P_MAX = 10**7
+SCAN_K_MAX = 1000
+
+
 def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
     """Enumerate residue zeros of h over all primes p <= p_max, reporting
     the maximal depth per prime up to k_max.
 
-    h must be a nonzero integer polynomial.  Depth k_max (saturation) is
+    h must be a nonzero integer polynomial, and the box must satisfy
+    2 <= p_max <= SCAN_P_MAX and 1 <= k_max <= SCAN_K_MAX; a larger box
+    raises BudgetExceeded before any work.  Depth k_max (saturation) is
     evidence of an exact zero only when the spec certifies it; pseudorandom
     digit streams never do.
+
+    Each prime costs one digit of tau first: h(tau_p) mod p.  tau_p mod
+    p^k_max is asked for only where that is 0, which is exact because a
+    spec's answers at different precisions agree, so a stream spec hashes
+    one digit, not k_max, at a prime that is not a hit.
     """
     h = as_element(h)
     if h.is_zero:
@@ -86,9 +100,17 @@ def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
         raise ValueError("scan requires an integer polynomial")
     if p_max < 2 or k_max < 1:
         raise ValueError("scan box must satisfy p_max >= 2, k_max >= 1")
+    if p_max > SCAN_P_MAX or k_max > SCAN_K_MAX:
+        raise BudgetExceeded(
+            f"scan box p <= {p_max}, k <= {k_max} is past the limit"
+            f" p <= {SCAN_P_MAX}, k <= {SCAN_K_MAX}"
+        )
+    tau, num = ctx.tau, h.num
     hits = []
     for p in primes_upto(p_max):
-        val = _eval_mod(h.num, ctx.tau._tau(p, k_max), p**k_max)
+        if _eval_mod(num, tau._tau(p, 1), p):
+            continue
+        val = _eval_mod(num, tau._tau(p, k_max), p**k_max)
         if val == 0:
             depth = k_max
         else:
@@ -96,10 +118,7 @@ def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
             while val % p == 0:
                 val //= p
                 depth += 1
-        if depth >= 1:
-            hits.append(
-                PrimeHit(p, depth, depth == k_max, ctx.tau.is_exact_root(h.num, p))
-            )
+        hits.append(PrimeHit(p, depth, depth == k_max, tau.is_exact_root(num, p)))
     return ShScan(h, p_max, k_max, tuple(hits))
 
 

@@ -21,8 +21,9 @@ return ResidueClass objects.
 factorize trial-divides by the primes below 1000 and splits what is left
 with Pollard's rho in Brent's variant.  Rho has a budget of RHO_BUDGET
 iterations per call; past it, factorize raises FactorBudgetExceeded (a
-ValueError) instead of running on.  is_prime is exact below 3.3e24 and
-BPSW-probable above, and factorize trusts it on every cofactor.
+BudgetExceeded, which is a ValueError) instead of running on.  is_prime is
+exact below 3.3e24 and BPSW-probable above, and factorize trusts it on
+every cofactor.
 
 Residues are memoized in one dict per spec instance.  Cached values are
 deterministic functions of (p, k), so concurrent readers may share a spec:
@@ -140,10 +141,14 @@ def primes_upto(limit: int) -> list[int]:
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
-class FactorBudgetExceeded(ValueError):
+class BudgetExceeded(ValueError):
+    """A request past one of the library's documented work limits."""
+
+
+class FactorBudgetExceeded(BudgetExceeded):
     """factorize spent RHO_BUDGET rho iterations without a full factorization."""
 
 
@@ -342,20 +347,77 @@ def _pow_shifted_mod(a: int, e: int, m: Sequence[int], p: int) -> list[int]:
     return r
 
 
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a mod the odd prime p, or None when a is not a
+    square mod p.
+
+    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 1.5.1): with p - 1 = 2^s q, q odd, and z the smallest
+    non-residue, y = z^q generates the 2-Sylow subgroup.  Starting from
+    x = a^((q+1)/2) and b = a^q, so that x^2 = a·b, each pass multiplies x
+    by a power of y that lowers the order of b, until b = 1.  At most s
+    passes of at most s squarings each, plus O(log p) for the powers;
+    p = 3 mod 4 needs the one power a^((p+1)/4)."""
+    a %= p
+    if a == 0:
+        return 0
+    q = p - 1
+    s = (q & -q).bit_length() - 1
+    q >>= s
+    if s == 1:
+        x = pow(a, (p + 1) // 4, p)
+        return x if x * x % p == a else None
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    y, r = pow(z, q, p), s
+    x = pow(a, (q - 1) // 2, p)
+    b = a * x * x % p  # a^q
+    x = a * x % p  # a^((q+1)/2), so that x^2 = a·b
+    while b != 1:
+        m, t = 0, b
+        while t != 1:
+            t = t * t % p
+            m += 1
+        if m == r:
+            return None  # b has order 2^r: a is a non-residue
+        t = pow(y, 1 << (r - m - 1), p)
+        y, r = t * t % p, m
+        x, b = x * t % p, b * y % p
+    return x
+
+
+def _quadratic_roots(g: Sequence[int], p: int) -> list[int]:
+    """The distinct roots of the monic quadratic g = [c, b, 1] mod the odd
+    prime p, by the quadratic formula: (-b ± sqrt(b^2 - 4c))/2."""
+    c, b = g[0], g[1]
+    half = (p + 1) // 2  # 1/2 mod p
+    root = _sqrt_mod(b * b - 4 * c, p)
+    if root is None:
+        return []
+    if root == 0:
+        return [-b * half % p]  # a double root
+    return [(-b + root) * half % p, (-b - root) * half % p]
+
+
 def _roots_mod(f: Sequence[int], p: int) -> list[int]:
     """The distinct roots of f mod the prime p, in no particular order; none
     when f mod p is zero or a nonzero constant.
 
-    The roots come from gcds, never from trying residues: Rabin's split
+    The roots come from square roots and gcds, never from trying residues.
+    A quadratic (f itself, once the factor x is out, or a part below)
+    splits by the quadratic formula with a Tonelli-Shanks square root: a
+    few integer powers mod p.  A higher degree goes through Rabin's split
     (SIAM J. Comput. 9, 1980) of x^((p-1)/2) mod f into the parts where it
     is 1 and -1, then Cantor-Zassenhaus splitting (Math. Comp. 36, 1981) of
-    each part by gcd(g, (x + a)^((p-1)/2) - 1) for the shifts a = 1, 2, ...
-    in turn, so the result needs no random source.  Every shift that does
-    not split a part of degree >= 2 leaves its roots r with the same value
-    of [(r + a)^((p-1)/2) = 1]; a set of quadratic residues closed under a
-    nonzero translation would be all of Z/pZ, so some a < p splits it.  A
-    part's gcds are squarefree, so each root shows up once.  Costs O(d^2 log p)
-    operations mod p for f of degree d, times the number of shifts tried.
+    each part of degree >= 3 by gcd(g, (x + a)^((p-1)/2) - 1) for the
+    shifts a = 1, 2, ... in turn, so the result needs no random source.
+    Every shift that does not split a part leaves its roots r with the same
+    value of [(r + a)^((p-1)/2) = 1]; a set of quadratic residues closed
+    under a nonzero translation would be all of Z/pZ, so some a < p splits
+    it.  A part's gcds are squarefree, so each root shows up once.  Costs
+    O(d^2 log p) operations mod p for f of degree d >= 3, times the number
+    of shifts tried, and O(log^2 p) integer operations for d = 2.
     """
     g = _monic_mod(f, p)
     if len(g) < 2:
@@ -369,6 +431,8 @@ def _roots_mod(f: Sequence[int], p: int) -> list[int]:
     if p == 2:
         # the factor x is out, so the only root left to find is 1
         return roots + [1] if sum(g) % 2 == 0 else roots
+    if len(g) == 3:
+        return roots + _quadratic_roots(g, p)
     e = (p - 1) // 2
     h = _pow_shifted_mod(0, e, g, p)
     parts = [_gcd_mod(g, [h[0] - s] + h[1:], p) for s in (1, -1)]
@@ -379,7 +443,9 @@ def _roots_mod(f: Sequence[int], p: int) -> list[int]:
         for part in parts:
             if len(part) == 2:
                 roots.append(-part[0] % p)
-            elif len(part) > 2:
+            elif len(part) == 3:
+                roots += _quadratic_roots(part, p)
+            elif len(part) > 3:
                 w = _pow_shifted_mod(a, e, part, p)
                 d = _gcd_mod(part, [w[0] - 1] + w[1:], p)
                 split += [d, _divmod_mod(part, d, p)[0]]
@@ -630,11 +696,14 @@ class HenselTau(TauSpec):
 
     At each prime, the smallest simple root of f mod p is lifted; primes at
     which f has no simple root fall back to another spec.  The roots of f
-    mod p come from gcds with x^((p-1)/2) and equal-degree splitting
-    (_roots_mod), never from trying all p residues: O(d^2 log p) operations
-    mod p per power for f of degree d, and a power near p = 10^9 takes about
-    30 squarings.  A residue is the Newton lift of that root, or the
-    fallback's residue from the fallback's own memo, both as plain ints.
+    mod p come from _roots_mod, never from trying all p residues: a
+    quadratic f costs one Tonelli-Shanks square root, a few integer powers
+    mod p; a higher degree costs polynomial powers mod f of O(d^2 log p)
+    operations each, and a power near p = 10^9 takes about 30 squarings.  A
+    residue is the Newton lift of that root, or the fallback's residue from
+    the fallback's own memo, both as plain ints.  Whether f divides a given
+    h, the test behind is_exact_root, is decided once per (f, h) pair by
+    _divides.
     """
 
     kind = "hensel"
@@ -665,7 +734,7 @@ class HenselTau(TauSpec):
         if self._simple_root(p) is None:
             return self.fallback.is_exact_root(h, p)
         # sufficient condition: every root of f is a root of h
-        return qdiv(RingElement(h), RingElement(self.poly))[1].is_zero
+        return _divides(self.poly, tuple(h))
 
     def to_json(self) -> dict:
         return {
@@ -680,6 +749,13 @@ class HenselTau(TauSpec):
         if not isinstance(poly, list):
             raise ValueError(f"hensel 'poly' must be a list of integers, got {poly!r}")
         return cls(poly, _tau_from_json(data["fallback"], depth + 1))
+
+
+@lru_cache(maxsize=256)
+def _divides(f: tuple[int, ...], h: tuple[int, ...]) -> bool:
+    """Whether f divides h in Q[x]; memoized, since a scan asks it at every
+    prime where f has a simple root."""
+    return qdiv(RingElement(h), RingElement(f))[1].is_zero
 
 
 class _SplitTau(TauSpec):

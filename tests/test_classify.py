@@ -6,16 +6,23 @@ from hypothesis import strategies as st
 
 from quasieuclid import (
     X,
+    BudgetExceeded,
+    PredicateTau,
     RingContext,
     RingElement,
+    TauSpec,
     as_element,
+    classify,
     constant,
     hensel,
     log_generic,
     make_zero_on,
     non_ufd_witness,
+    padic,
+    piecewise,
     poly_eval_mod,
     primes_upto,
+    qdiv,
     scan_sh,
     stream,
     zero,
@@ -67,6 +74,158 @@ def test_scan_validates_inputs():
         scan_sh(ctx, RingElement((0, 1), 2), 50, 8)
     with pytest.raises(ValueError):
         scan_sh(ctx, X, 50, 0)
+
+
+def test_scan_box_past_the_limit_raises_before_sieving(monkeypatch):
+    ctx = RingContext(zero())
+
+    def no_sieve(limit):
+        raise AssertionError("sieved past the limit")
+
+    monkeypatch.setattr(classify, "primes_upto", no_sieve)
+    for p_max, k_max in [(classify.SCAN_P_MAX + 1, 8), (10**11, 8), (50, classify.SCAN_K_MAX + 1)]:
+        with pytest.raises(BudgetExceeded, match="past the limit"):
+            scan_sh(ctx, X, p_max, k_max)
+        with pytest.raises(BudgetExceeded):
+            non_ufd_witness(ctx, X, 2, p_max=p_max, k_max=k_max)
+    assert issubclass(BudgetExceeded, ValueError)
+    monkeypatch.setattr(classify, "primes_upto", lambda limit: [2])
+    assert scan_sh(ctx, X, classify.SCAN_P_MAX, 8).hit_primes() == (2,)
+
+
+def test_scan_at_the_k_limit():
+    scan = scan_sh(RingContext(zero()), X, 20, classify.SCAN_K_MAX)
+    assert scan.hit_primes() == tuple(primes_upto(20))
+    assert all(hit.saturated and hit.depth == classify.SCAN_K_MAX for hit in scan.hits)
+
+
+# -- one digit per prime ------------------------------------------------------------
+
+
+class CountingTau(TauSpec):
+    """Another spec's residues, with a record of every (p, k) asked for."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+        self.asked = []
+
+    def _tau(self, p, k):
+        self.asked.append((p, k))
+        return self.inner._tau(p, k)
+
+    def _residue(self, p, k):
+        return self.inner._tau(p, k)
+
+    def is_exact_root(self, h, p):
+        return self.inner.is_exact_root(h, p)
+
+
+def _eager_scan(spec, h, p_max, k_max):
+    """The scan as it ran before: tau_p mod p^k_max at every prime."""
+    hits = []
+    for p in primes_upto(p_max):
+        val = poly_eval_mod(h, spec, p, k_max).value
+        depth = k_max
+        if val:
+            depth = 0
+            while val % p == 0:
+                val //= p
+                depth += 1
+        if depth:
+            hits.append((p, depth, depth == k_max, spec.is_exact_root(h, p)))
+    return hits
+
+
+SCAN_SPECS = {
+    "constant": lambda: constant(4),
+    "zero": lambda: zero(),
+    "stream": lambda: stream(5),
+    "log_generic": lambda: log_generic(7),
+    "hensel": lambda: hensel((-2, 0, 1), stream(1)),
+    "piecewise": lambda: piecewise({2: zero(), 3: constant(1), 7: stream(9)}, log_generic(3)),
+    "predicate": lambda: PredicateTau(lambda p: p % 4 == 1, constant(2), hensel((-7, 0, 1), zero())),
+}
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 8, 16])
+@pytest.mark.parametrize("make", SCAN_SPECS.values(), ids=SCAN_SPECS.keys())
+def test_scan_asks_for_k_max_digits_only_at_hits(make, k_max):
+    h = (-6, 11, -6, 1)  # (x - 1)(x - 2)(x - 3): a hit wherever tau_p = 1, 2, 3 mod p
+    spec = CountingTau(make())
+    scan = scan_sh(RingContext(spec), RingElement(h), 300, k_max)
+    asked = {}
+    for p, k in spec.asked:
+        asked.setdefault(p, []).append(k)
+    primes = primes_upto(300)
+    zeros = [p for p in primes if poly_eval_mod(h, spec.inner, p, 1).value == 0]
+    assert zeros and len(zeros) < len(primes)
+    assert list(asked) == primes
+    for p in primes:  # one digit first; k_max digits only where h(tau_p) = 0 mod p
+        assert asked[p] == ([1, k_max] if p in zeros else [1]), p
+    assert list(scan.hit_primes()) == zeros
+    assert [(hit.prime, hit.depth, hit.saturated, hit.exact) for hit in scan.hits] == _eager_scan(
+        make(), h, 300, k_max
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(SCAN_SPECS)),
+    st.lists(st.integers(-12, 12), min_size=2, max_size=4).filter(lambda h: h[-1] != 0),
+    st.integers(2, 200),
+    st.sampled_from([1, 2, 8, 16]),
+)
+def test_lazy_scan_matches_the_eager_reference(kind, h, p_max, k_max):
+    scan = scan_sh(RingContext(SCAN_SPECS[kind]()), RingElement(h), p_max, k_max)
+    got = [(hit.prime, hit.depth, hit.saturated, hit.exact) for hit in scan.hits]
+    assert got == _eager_scan(SCAN_SPECS[kind](), tuple(h), p_max, k_max)
+
+
+# -- exact flags from one divisibility test per h -------------------------------------
+
+
+def _exact_reference(spec, h, p):
+    """HenselTau.is_exact_root as it was, with a qdiv at every prime."""
+    if spec._simple_root(p) is None:
+        return spec.fallback.is_exact_root(h, p)
+    return qdiv(RingElement(h), RingElement(spec.poly))[1].is_zero
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        (-2, 0, 1),  # f itself: exact at every root prime
+        (2, -2, -1, 1),  # (x - 1)(x^2 - 2): hits everywhere, exact everywhere
+        (-2, -2, 1, 1),  # (x + 1)(x^2 - 2)
+        (-1, 1),  # x - 1: hits where the fallback constant 1 is, exact there
+        (-3, 1),  # x - 3: a hit at 7 that is not exact
+        (4, 0, -1),  # 4 - x^2 = 2 - f: one hit, at 3 from the fallback, not exact
+    ],
+)
+def test_exact_flags_unchanged_under_the_memo(h):
+    spec = hensel((-2, 0, 1), constant(1))
+    padic._divides.cache_clear()
+    scan = scan_sh(RingContext(spec), RingElement(h), 400, 6)
+    assert scan.hits
+    for hit in scan.hits:
+        assert hit.exact == _exact_reference(spec, h, hit.prime), hit
+
+
+def test_exact_root_runs_one_division_per_h(monkeypatch):
+    calls = []
+
+    def counting_qdiv(a, b):
+        calls.append((a, b))
+        return qdiv(a, b)
+
+    monkeypatch.setattr(padic, "qdiv", counting_qdiv)
+    padic._divides.cache_clear()
+    spec = hensel((-2, 0, 1), constant(1))
+    scan = scan_sh(RingContext(spec), X2_MINUS_2, 2000, 8)
+    assert len(scan.exact_primes()) > 100
+    assert len(calls) == 1
+    assert padic._divides.cache_info().maxsize is not None
 
 
 # -- witnesses ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -582,3 +583,30 @@ def test_gcd_checks_each_input_once(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "gcd", "--tau", ONE_TAU, "2", "x/2")
     assert code == 1
     assert "x/2 is not in the ring" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "x", "--pmax", "100000000000"),
+        ("scan", "x", "--pmax", "10000001"),
+        ("scan", "x", "--kmax", "1001"),
+        ("witness", "x", "--pmax", "100000000000"),
+        ("scan", "--json", "x", "--pmax", "100000000000"),
+    ],
+)
+def test_scan_box_past_the_limit_exits_1_at_once(argv):
+    start = time.perf_counter()
+    proc = _run_module(*argv)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    if "--json" in argv:
+        assert proc.stderr == ""
+        assert "past the limit p <= 10000000, k <= 1000" in json.loads(proc.stdout)["error"]
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: scan box p <= ")
+        assert proc.stderr.count("\n") == 1
+    # the box is checked before the sieve: a scan to 10^7 alone takes seconds
+    assert elapsed < 5

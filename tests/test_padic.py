@@ -636,6 +636,135 @@ def test_simple_root_at_a_large_prime():
     assert hensel((1, 0, 1), zero())._simple_root(p) is None  # p = 3 mod 4
 
 
+# -- quadratic roots by a square root ---------------------------------------------
+
+
+def _every_root(f, p):
+    """The roots of f mod p, by trying every residue; none when f mod p is
+    zero or a nonzero constant, as _roots_mod has it."""
+    if not any(c % p for c in f[1:]):
+        return []
+    return sorted(x for x in range(p) if sum(c * x**i for i, c in enumerate(f)) % p == 0)
+
+
+# p = 1 mod 8, where p - 1 = 2^s q has s >= 3: Tonelli-Shanks takes several
+# passes, and the shifts a = 1, 2 of the splitting loop do not split x^2 - 2
+# at 73.  65537 = 2^16 + 1 has s = 16.
+TWO_ADIC_PRIMES = (17, 41, 73, 97, 257, 7681, 65537)
+
+
+@pytest.mark.parametrize("p", TWO_ADIC_PRIMES)
+def test_sqrt_mod_against_every_square(p):
+    assert (p - 1) % 8 == 0
+    squares = {x * x % p for x in range(p)}
+    for a in range(-1, p + 1):
+        r = padic._sqrt_mod(a, p)
+        if a % p in squares:
+            assert r is not None and 0 <= r < p and r * r % p == a % p, a
+        else:
+            assert r is None, a
+
+
+@pytest.mark.parametrize("p", TWO_ADIC_PRIMES)
+def test_quadratic_roots_at_primes_with_large_two_adic_part(p):
+    rng = random.Random(p)
+    polys = [(-2, 0, 1), (1, 0, 1), (-13, 3, 1), (-1, -1, 1)]
+    polys += [tuple(rng.randint(-p, p) for _ in range(2)) + (rng.randint(1, 9),) for _ in range(6)]
+    for f in polys:
+        roots = _every_root(f, p)
+        assert sorted(padic._roots_mod(f, p)) == roots, f
+        simple = [r for r in roots if (f[1] + 2 * f[2] * r) % p]
+        assert hensel(f, zero())._simple_root(p) == min(simple, default=None), f
+
+
+@pytest.mark.parametrize(
+    "f, p, roots",
+    [
+        ((16, -6, 1), 7, [3]),  # (x - 3)^2 + 7: a double root mod 7
+        ((9, -6, 1), 101, [3]),  # (x - 3)^2 at every prime
+        ((1, 2, 1), 2, [1]),  # (x + 1)^2 mod 2
+        ((1, 1, 1), 3, [1]),  # (x - 1)^2 mod 3
+        ((0, 0, 5), 13, [0]),  # 5x^2: the root 0 twice
+    ],
+)
+def test_quadratic_with_zero_discriminant_falls_back(f, p, roots):
+    assert sorted(padic._roots_mod(f, p)) == roots == _every_root(f, p)
+    spec = hensel(f, constant(5))
+    assert spec._simple_root(p) is None
+    for k in range(1, 6):
+        assert spec.query(p, k).value == 5 % p**k
+
+
+@pytest.mark.parametrize(
+    "f, p",
+    [
+        ((1, 3, 7), 7),  # p | lc: 3x + 1 mod 7
+        ((2, 0, 7), 7),  # p | lc: a nonzero constant mod 7
+        ((14, 0, -7), 7),  # f = 0 mod p
+        ((0, 0, 4), 2),  # f = 0 mod 2
+        ((0, 1, 1), 2),  # x(x + 1) mod 2
+        ((1, 1, 1), 2),  # no root mod 2
+        ((1, 0, 1), 3),  # x^2 + 1: no root mod 3
+        ((-1, 0, 1), 3),  # x^2 - 1: 1 and 2
+        ((0, 2, 1), 3),  # x(x + 2): 0 and 1
+        ((-2, 0, 1), 2),  # x^2 mod 2
+        ((-2, 0, 1), 3),  # x^2 + 1 mod 3
+        ((3, 1, 3), 3),  # p | lc: x mod 3
+    ],
+)
+def test_quadratic_edge_cases_against_every_residue(f, p):
+    assert sorted(padic._roots_mod(f, p)) == _every_root(f, p)
+    assert hensel(f, zero())._simple_root(p) == _linear_simple_root(f, p)
+
+
+def _from_roots(roots, tail=(1,)):
+    """tail(x) times the product of (x - r) over roots, constant term first."""
+    f = list(tail)
+    for r in roots:
+        f = [a - r * b for a, b in zip([0] + f, f + [0])]
+    return f
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 41, 73, 97, 101, 257])
+def test_quadratic_parts_split_out_of_cubics_and_quartics(monkeypatch, p):
+    # two quadratic residues and a non-residue give a part of degree 2 where
+    # x^((p-1)/2) = 1; x^2 - n for a non-residue n is a quadratic part with no root
+    squares = sorted({x * x % p for x in range(1, p)})
+    nonres = [a for a in range(1, p) if a not in squares]
+    cases = [
+        _from_roots([squares[0], squares[1], nonres[0]]),
+        _from_roots([nonres[0], nonres[1], squares[0]]),
+        _from_roots([squares[0], squares[-1], nonres[0], nonres[-1]]),
+        _from_roots([squares[0], squares[1]], tail=(-nonres[0], 0, 1)),
+        [0, -nonres[0], 0, 1],  # x^3 - n x: the root 0, then x^2 - n
+    ]
+    seen = []
+    quadratic_roots = padic._quadratic_roots
+
+    def recording(g, q):
+        seen.append(len(g) - 1)
+        return quadratic_roots(g, q)
+
+    monkeypatch.setattr(padic, "_quadratic_roots", recording)
+    for f in cases:
+        seen.clear()
+        assert sorted(padic._roots_mod(f, p)) == _every_root(f, p), f
+        assert seen and set(seen) == {2}, f
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5),
+    st.sampled_from(primes_upto(3000)),
+)
+@example(f=[-2, 0, 1], p=73)
+@example(f=[-2, 0, 1], p=2113)  # 2113 = 2^6·33 + 1
+@example(f=[0, 0, 0, 0, 1], p=17)
+@example(f=[1, 0, 0, 0, 1], p=17)  # x^4 + 1 splits completely mod 17
+def test_roots_mod_equals_trial_of_every_residue(f, p):
+    assert sorted(padic._roots_mod(f, p)) == _every_root(f, p)
+
+
 # -- the kind table ------------------------------------------------------------
 
 # One spec of each kind that tau_from_json reads, nested kinds over leaves.
