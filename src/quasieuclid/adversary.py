@@ -16,8 +16,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import fib_pair_for
+from .padic import BudgetExceeded
 from .poly import ZERO, RingElement, as_element
 from .ring import RingContext
+
+# The largest stage budget k.  The canonical chain from an adversarial pair
+# has 4k + O(1) quotients under the zero tau.  Over b with coefficients in
+# [-9, 9] it was at most 4k + 7: every b of degree <= 2 at k = 50 and 200,
+# random b of degree 3 and 4 (20,000 at k = 50, 5,000 at k = 200) and 150
+# random b of degree 1 to 4 at k = 2000.  So k = 2000 keeps it within
+# qe_chain's 10,000-step budget with a fifth to spare, and such a pair
+# takes under a second.
+ADVERSARY_K_MAX = 2000
+
+
+def _check_k(k: int) -> None:
+    if k > ADVERSARY_K_MAX:
+        raise BudgetExceeded(f"stage budget k = {k} is past the limit k <= {ADVERSARY_K_MAX}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +84,8 @@ def _member_mod(ctx: RingContext, b: RingElement, d: int) -> int:
 def adversarial_pair(ctx: RingContext, k: int, b: RingElement) -> RingElement:
     """a = (c/d)(b - beta) for the stage budget k; a is verified to be a
     ring member.  Negative b is handled by negating, constructing, and
-    negating back."""
+    negating back.  k past ADVERSARY_K_MAX raises BudgetExceeded."""
+    _check_k(k)
     b = as_element(b)
     if b.degree < 1:
         raise ValueError("b must have degree at least 1")
@@ -90,7 +106,9 @@ def degree_retention_check(ctx: RingContext, k: int, a: RingElement, b: RingElem
     (a, b) must come from adversarial_pair with b > 0; a is re-derived and
     checked so the reported (c, d, beta) always describe the given pair.
     The chain validates a and b, once each, before beta is read from b.
+    k past ADVERSARY_K_MAX raises BudgetExceeded.
     """
+    _check_k(k)
     a, b = as_element(a), as_element(b)
     if not b > ZERO:
         raise ValueError("b must be positive; negate the pair first")

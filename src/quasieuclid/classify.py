@@ -76,6 +76,12 @@ class ShScan:
 # (10 MB), and SCAN_K_MAX bounds the digits of tau_p asked for at each hit prime.
 SCAN_P_MAX = 10**7
 SCAN_K_MAX = 1000
+# The deepest witness chain.  Its elements hold denominators up to p^depth,
+# so building them costs time and memory quadratic in depth, and past the
+# interpreter's 4300-digit limit they cannot be printed.  At depth 1000 that
+# limit is first met at p > 19,952, and the CLI's `witness x --depth 1000`
+# (p = 2) takes 0.3 s.
+WITNESS_DEPTH_MAX = 1000
 
 
 def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
@@ -155,7 +161,8 @@ def non_ufd_witness(
     A certified exact zero at some prime yields the prime-power chain at
     the smallest such prime; failing that, depth-many distinct hit primes
     yield the distinct-primes chain.  Returns None when neither pattern is
-    present, which is inconclusive by design.
+    present, which is inconclusive by design.  A depth past
+    WITNESS_DEPTH_MAX raises BudgetExceeded before the scan.
     """
     h = as_element(h)
     if h.is_zero:
@@ -164,6 +171,8 @@ def non_ufd_witness(
         raise ValueError("witness requires an integer polynomial")
     if depth < 2:
         raise ValueError("depth must be at least 2")
+    if depth > WITNESS_DEPTH_MAX:
+        raise BudgetExceeded(f"witness depth {depth} is past the limit {WITNESS_DEPTH_MAX}")
     scan = scan_sh(ctx, h, p_max, k_max)
     exact = scan.exact_primes()
     if exact:

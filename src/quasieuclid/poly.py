@@ -120,7 +120,7 @@ class RingElement:
         if isinstance(value, RingElement):
             return value
         if isinstance(value, int) and not isinstance(value, bool):
-            return RingElement._from_normal((value,), 1)
+            return _const(value)
         if isinstance(value, Fraction):
             return RingElement((value,))
         return None
@@ -247,27 +247,32 @@ def as_element(value) -> RingElement:
     return e
 
 
-def _submul(w: RingElement, p: RingElement, u: RingElement, k: int = 1) -> RingElement:
-    """k*w - p*u for an integer k, as one coefficient list over one
-    denominator.
+def _const(c: int) -> RingElement:
+    """The integer c as an element, with no validation: c must be an int."""
+    e = object.__new__(RingElement)
+    e._num, e._den = ((c,) if c else ()), 1
+    return e
+
+
+def _submul(w: RingElement, p: RingElement, u: RingElement) -> RingElement:
+    """w - p*u, as one coefficient list over one denominator.
 
     With w = W/a, p = P/b and u = U/c, the result is
-    (k*W*(L/a) - P*U*(L/bc))/L for L = lcm(a, bc): one scaled pass when p is
+    (W*(L/a) - P*U*(L/bc))/L for L = lcm(a, bc): one scaled pass when p is
     a constant, one convolution otherwise, and one _from_normal call.
     """
     pn, un = p._num, u._num
     wn, wd = w._num, w._den
     if not pn or not un:
-        return w if k == 1 else RingElement._from_normal([k * x for x in wn], wd)
+        return w
     pud = p._den * u._den
     g = math.gcd(wd, pud)
     fw, fpu = pud // g, wd // g  # L/a and L/bc
-    kw = k * fw
     if len(pn) == 1:
         c = pn[0] * fpu
-        out = [kw * x - c * y for x, y in zip_longest(wn, un, fillvalue=0)]
+        out = [fw * x - c * y for x, y in zip_longest(wn, un, fillvalue=0)]
     else:
-        out = [kw * x for x in wn]
+        out = [fw * x for x in wn]
         out += [0] * (len(pn) + len(un) - 1 - len(out))
         for i, a in enumerate(pn):
             if a:
@@ -275,6 +280,16 @@ def _submul(w: RingElement, p: RingElement, u: RingElement, k: int = 1) -> RingE
                 for j, y in enumerate(un, i):
                     out[j] -= a * y
     return RingElement._from_normal(out, wd * fw)
+
+
+def _lincomb(x: int, w: RingElement, y: int, u: RingElement) -> RingElement:
+    """x*w + y*u for ints x and y, as one pass over the coefficients of w
+    and u on lcm(den w, den u) and one _from_normal call."""
+    wd, ud = w._den, u._den
+    g = math.gcd(wd, ud)
+    fx, fy = x * (ud // g), y * (wd // g)
+    out = [fx * a + fy * b for a, b in zip_longest(w._num, u._num, fillvalue=0)]
+    return RingElement._from_normal(out, wd // g * ud)
 
 
 def _cmp(a: RingElement, b: RingElement) -> int:

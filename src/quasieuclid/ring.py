@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple
 
 from .chains import DivisionChain
 from .padic import TauSpec, factorize
-from .poly import ONE, ZERO, RingElement, _pdiv, _submul, as_element, qdiv
+from .poly import ONE, ZERO, RingElement, _const, _lincomb, _pdiv, _submul, as_element, qdiv
 
 
 class NotMemberError(ValueError):
@@ -64,7 +64,7 @@ def phi(q: RingElement, r: RingElement) -> NormTuple:
 _Matrix = tuple[int, int, int, int]
 
 
-def _run(A: int, B: int) -> tuple[list[int], _Matrix]:
+def _run(A: int, B: int) -> tuple[tuple[int, ...], _Matrix]:
     """Integer Euclid on A, B > 0 up to its first exact division: the
     quotients c_1..c_k (none when A/B is an integer) and the matrix
     (m00, m01, m10, m11) taking (x_0, x_1) to (x_k, x_{k+1}), where
@@ -77,26 +77,49 @@ def _run(A: int, B: int) -> tuple[list[int], _Matrix]:
         m00, m01, m10, m11 = m10, m11, m00 - c * m10, m01 - c * m11
         A, B = B, r
         c, r = divmod(A, B)
-    return quots, (m00, m01, m10, m11)
+    return tuple(quots), (m00, m01, m10, m11)
 
 
 def _combine(m: _Matrix, w: RingElement, u: RingElement) -> tuple[RingElement, RingElement]:
-    """(m00*w + m01*u, m10*w + m11*u) for a run's matrix m, one _submul each;
+    """(m00*w + m01*u, m10*w + m11*u) for a run's matrix m, one _lincomb each;
     m00 = 0 only after a one-quotient run, whose first row is (0, 1)."""
     m00, m01, m10, m11 = m
-    first = u if m00 == 0 else _submul(w, RingElement._from_normal((-m01,), 1), u, m00)
-    return first, _submul(w, RingElement._from_normal((-m11,), 1), u, m10)
+    first = u if m00 == 0 else _lincomb(m00, w, m01, u)
+    return first, _lincomb(m10, w, m11, u)
+
+
+_Step = tuple[RingElement | tuple[int, ...], _Matrix | None, RingElement]
+
+
+class _Chained(NamedTuple):
+    """A context's last chained pair: the steps of _steps from (a, b), the
+    number of quotients they hold, and the DivisionChain once qe_chain has
+    built one.  Equal normal forms under one tau determine all of it."""
+
+    tau: TauSpec
+    a: RingElement
+    b: RingElement
+    steps: tuple[_Step, ...]
+    length: int
+    chain: DivisionChain | None
+
+
+def _over_budget(a: RingElement, b: RingElement, max_steps: int) -> StepBudgetExceeded:
+    return StepBudgetExceeded(f"division chain from ({a}, {b}) exceeded {max_steps} steps")
 
 
 class RingContext:
     """A choice of tau; membership of h/n is tau.eval_mod(h, n) == 0.
 
-    A context keeps no cache of its own, so it is as safe to share between
-    threads as its tau: every operation is deterministic in (tau, inputs).
+    A context keeps only the last pair's chain, swapped in as one immutable
+    tuple, so it is as safe to share between threads as its tau: every
+    operation is deterministic in (tau, inputs), and a thread reads the
+    memo once and either replays a whole entry or computes its own.
     """
 
     def __init__(self, tau: TauSpec):
         self.tau = tau
+        self._last: _Chained | None = None
 
     # -- membership -------------------------------------------------------
 
@@ -130,10 +153,11 @@ class RingContext:
         Both inputs must be ring members with r != 0 (not checked); the
         outputs are then members as well, matching integer div/mod
         semantics.  A step only chooses p; s = q - p*r is then one fused
-        pass (poly._submul) for every step.  When deg q = deg r the quotient
-        is a constant, the integer floor(lc q / lc r), and tau plays no part.
-        Otherwise one pseudo-division gives the Q[x] quotient P/m in lowest
-        terms and p = (P - k)/m for k = P(tau) mod m in [0, m).  s < 0 can
+        pass for every step.  When deg q = deg r the quotient is a constant,
+        the integer c = floor(lc q / lc r), tau plays no part, and s = q -
+        c*r is one poly._lincomb.  Otherwise one pseudo-division gives the
+        Q[x] quotient P/m in lowest terms, p = (P - k)/m for k = P(tau) mod
+        m in [0, m), and s is one poly._submul.  s < 0 can
         happen only when k = 0 (at equal degree: lc q / lc r an integer),
         and then (p - 1, s + r) is the answer.  A negative r divides by -r
         and negates the quotient.
@@ -150,7 +174,8 @@ class RingContext:
             p, s = self._divmod(q, -r)
             return -p, s
         if len(qn) == len(rn):
-            p = RingElement._from_normal((qn[-1] * r._den // (q._den * rn[-1]),), 1)
+            c = qn[-1] * r._den // (q._den * rn[-1])
+            p, s = _const(c), _lincomb(1, q, -c, r)
         else:
             quo, _, den = _pdiv(qn, rn)
             if r._den != 1:
@@ -162,16 +187,14 @@ class RingContext:
                 shifted = list(p._num)
                 shifted[0] -= k
                 p = RingElement._from_normal(shifted, m)
-        s = _submul(q, p, r)
+            s = _submul(q, p, r)
         if s._num and s._num[-1] < 0:
             return p - ONE, s + r
         return p, s
 
     # -- chains, gcd, divisibility -----------------------------------------
 
-    def _steps(
-        self, a, b, max_steps: int
-    ) -> Iterator[tuple[RingElement | list[int], _Matrix | None, RingElement]]:
+    def _steps(self, a: RingElement, b: RingElement, max_steps: int) -> Iterator[_Step]:
         """The division chain from (a, b), through the first zero remainder,
         as runs (quotients, m, s) and division steps (p, None, s), each with
         its last remainder s; a and b are validated once, and max_steps
@@ -188,9 +211,8 @@ class RingContext:
         combination each.  That step and every step that drops the degree
         are division steps.
         """
-        if max_steps < 1:
-            raise ValueError("max_steps must be positive")
-        a, b = self.make_element(as_element(a)), self.make_element(as_element(b))
+        self.make_element(a)
+        self.make_element(b)
         if b.is_zero:
             raise ZeroDivisionError("chain requires b != 0")
         prev, cur, n = a, b, 0
@@ -213,23 +235,45 @@ class RingContext:
             if n >= max_steps:
                 break
             prev, cur = cur, s
-        raise StepBudgetExceeded(
-            f"division chain from ({a}, {b}) exceeded {max_steps} steps"
-        )
+        raise _over_budget(a, b, max_steps)
+
+    def _chained(self, a, b, max_steps: int) -> _Chained:
+        """The chain from (a, b) as _steps yields it.  The context keeps the
+        last pair it chained: equal a and b under the same tau replay its
+        steps, with no division, membership check or tau query, and raise
+        StepBudgetExceeded exactly where a fresh pass would.  Any other pair
+        runs _steps and, when the pass completes, takes its place."""
+        if max_steps < 1:
+            raise ValueError("max_steps must be positive")
+        a, b = as_element(a), as_element(b)
+        last = self._last
+        if last is None or last.tau is not self.tau or last.a != a or last.b != b:
+            steps = tuple(self._steps(a, b, max_steps))
+            length = sum(1 if m is None else len(p) for p, m, _ in steps)
+            last = self._last = _Chained(self.tau, a, b, steps, length, None)
+        elif last.length > max_steps:
+            raise _over_budget(a, b, max_steps)
+        return last
 
     def qe_chain(self, a, b, max_steps: int = 10_000) -> DivisionChain:
         """Iterate division with remainder from (a, b) until remainder 0.
 
         Termination is guaranteed by the norm descent; max_steps is a
         safety valve whose breach signals a defect, not a usage error.
+        Asked again for the context's last pair, it returns the same chain,
+        whose remainders are then derived once.
         """
-        quots = []
-        for p, m, _ in self._steps(a, b, max_steps):
-            if m is None:
-                quots.append(p)
-            else:
-                quots += [RingElement._from_normal((c,), 1) for c in p]
-        return DivisionChain(as_element(a), as_element(b), tuple(quots))
+        last = self._chained(a, b, max_steps)
+        if last.chain is None:
+            quots = []
+            for p, m, _ in last.steps:
+                if m is None:
+                    quots.append(p)
+                else:
+                    quots += [_const(c) for c in p]
+            last = last._replace(chain=DivisionChain(last.a, last.b, tuple(quots)))
+            self._last = last
+        return last.chain
 
     def gcd_bezout(self, a, b) -> tuple[RingElement, RingElement, RingElement]:
         """(g, u, v) with g = u*a + v*b, g > 0, and g dividing both a and b.
@@ -239,7 +283,8 @@ class RingContext:
         the run's integer matrix on (u_prev, u) for a run, and v =
         (g - u*a)/b is one exact division at the end (Knuth, TAOCP vol. 2,
         4.5.2, the remark after Algorithm X).  On integers this reproduces
-        the extended Euclidean algorithm exactly.  A non-member a or b
+        the extended Euclidean algorithm exactly.  After qe_chain on the
+        same pair it replays that chain's steps.  A non-member a or b
         raises NotMemberError, b = 0 included.
         """
         a, b = as_element(a), as_element(b)
@@ -249,7 +294,7 @@ class RingContext:
             g, u, v = self.make_element(a), ONE, ZERO
         else:
             g, u_prev, u = b, ONE, ZERO
-            for p, m, s in self._steps(a, b, 10_000):
+            for p, m, s in self._chained(a, b, 10_000).steps:
                 if s.is_zero:
                     break
                 if m is None:

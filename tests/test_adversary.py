@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from quasieuclid import (
     X,
     ZERO,
+    BudgetExceeded,
     NotMemberError,
     RingContext,
     RingElement,
@@ -21,9 +22,30 @@ from quasieuclid import (
     log_generic,
     make_zero_on,
     stream,
+    zero,
 )
+from quasieuclid import adversary
 
 TAUS = [constant(0), constant(1), constant(5), stream(42), log_generic(7)]
+
+
+def test_k_at_the_limit_completes_and_past_it_is_refused(monkeypatch):
+    # at the limit the canonical chain has about 4k quotients, within
+    # qe_chain's budget of 10,000; past it no work starts
+    ctx = RingContext(zero())
+    k, b = adversary.ADVERSARY_K_MAX, RingElement((3, 1, 2))
+    a = adversarial_pair(ctx, k, b)
+    assert degree_retention_check(ctx, k, a, b).verdict
+
+    def no_work(*args):
+        raise AssertionError("work started past the limit")
+
+    monkeypatch.setattr(adversary, "fib_pair_for", no_work)
+    for big in (k + 1, 10**5):
+        with pytest.raises(BudgetExceeded, match="past the limit"):
+            adversarial_pair(ctx, big, b)
+        with pytest.raises(BudgetExceeded, match="past the limit"):
+            degree_retention_check(ctx, big, a, b)
 
 
 def _euclid_length(c, d):

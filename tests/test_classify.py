@@ -93,6 +93,20 @@ def test_scan_box_past_the_limit_raises_before_sieving(monkeypatch):
     assert scan_sh(ctx, X, classify.SCAN_P_MAX, 8).hit_primes() == (2,)
 
 
+def test_witness_depth_past_the_limit_is_refused_before_the_scan(monkeypatch):
+    ctx = RingContext(zero())
+    deepest = non_ufd_witness(ctx, X, classify.WITNESS_DEPTH_MAX)
+    assert deepest.primes == (2,) and deepest.chain[-1] == RingElement((0, 1), 2**classify.WITNESS_DEPTH_MAX)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned past the depth limit")
+
+    monkeypatch.setattr(classify, "scan_sh", no_scan)
+    for depth in (classify.WITNESS_DEPTH_MAX + 1, 10**6):
+        with pytest.raises(BudgetExceeded, match="past the limit"):
+            non_ufd_witness(ctx, X, depth)
+
+
 def test_scan_at_the_k_limit():
     scan = scan_sh(RingContext(zero()), X, 20, classify.SCAN_K_MAX)
     assert scan.hit_primes() == tuple(primes_upto(20))

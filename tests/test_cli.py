@@ -587,6 +587,21 @@ def test_gcd_checks_each_input_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
+    [("adversary", "100000", "2x^2+x+3"), ("adversary", "2500", "2x^2+x+3"), ("witness", "x", "--depth", "100000")],
+)
+def test_adversary_k_and_witness_depth_past_the_limit_exit_1_at_once(argv):
+    start = time.perf_counter()
+    proc = _run_module(*argv)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 200
+    assert "past the limit" in proc.stderr and "Traceback" not in proc.stderr
+    assert elapsed < 5
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ("scan", "x", "--pmax", "100000000000"),
         ("scan", "x", "--pmax", "10000001"),

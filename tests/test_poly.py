@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasieuclid import ONE, X, ZERO, RingElement, as_element, compare, qdiv
-from quasieuclid.poly import _submul, format_element
+from quasieuclid.poly import _const, _lincomb, _submul, format_element
 from quasieuclid.syntax import ParseError, parse_element
 
 from record_golden_cli import GOLDEN
@@ -287,14 +287,6 @@ def test_submul_matches_fraction_reference(w, p, u):
     _assert_normal(result)
 
 
-@settings(max_examples=200, deadline=None)
-@given(big_elements, multipliers, st.one_of(st.just(ZERO), big_elements), st.integers(-(2**64), 2**64))
-def test_submul_scales_w_by_an_integer(w, p, u, k):
-    result = _submul(w, p, u, k)
-    assert result == k * w - p * u
-    _assert_normal(result)
-
-
 def test_submul_examples():
     half_x = RingElement((0, 1), 2)
     assert _submul(half_x, ZERO, X) == half_x
@@ -305,6 +297,44 @@ def test_submul_examples():
     # (x^2 + 1)/4 - (x/2 - 1)(x/2 + 1) = 5/4: the top terms cancel
     w = RingElement((1, 0, 1), 4)
     assert _submul(w, RingElement((-2, 1), 2), RingElement((2, 1), 2)) == RingElement((5,), 4)
+
+
+# -- the integer combination kernel x*w + y*u ----------------------------------------
+
+
+def _reference_lincomb(x, w, y, u):
+    """x*w + y*u over Fraction coefficients."""
+    return RingElement([x * a + y * b for a, b in zip_longest(_fractions(w), _fractions(u), fillvalue=0)])
+
+
+# Scales of either sign up to 2^64, zero often; w and u zero or large, each
+# over its own denominator up to 10^6.
+scales = st.one_of(st.just(0), st.integers(-(2**64), 2**64))
+operands = st.one_of(st.just(ZERO), big_elements)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scales, operands, scales, operands)
+def test_lincomb_matches_fraction_reference(x, w, y, u):
+    result = _lincomb(x, w, y, u)
+    assert result == _reference_lincomb(x, w, y, u)
+    assert result == x * w + y * u
+    _assert_normal(result)
+
+
+def test_lincomb_examples():
+    half_x = RingElement((0, 1), 2)
+    assert _lincomb(0, half_x, 0, X) == ZERO
+    assert _lincomb(1, half_x, 0, X) == half_x
+    assert _lincomb(0, X, -3, half_x) == RingElement((0, -3), 2)
+    # 2*(x/2) - 3*((x + 3)/3) = -3: the top terms cancel over lcm(2, 3)
+    assert _lincomb(2, half_x, -3, RingElement((3, 1), 3)) == as_element(-3)
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 7, -(2**70)])
+def test_const_is_the_integer_in_normal_form(c):
+    assert _const(c) == as_element(c) == RingElement((c,))
+    _assert_normal(_const(c))
 
 
 @pytest.mark.parametrize("e", [X, 3 * X**4, RingElement((0, 0, -5), 7), as_element(-2), RingElement((3,), 4)])

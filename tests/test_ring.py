@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from quasieuclid import (
     ONE,
+    StepBudgetExceeded,
     X,
     ZERO,
     NormTuple,
@@ -682,6 +686,128 @@ def test_step_budget_counts_every_quotient_of_a_run():
     for max_steps in (1, 5, 27, 28, len(quots) - 1):
         with pytest.raises(StepBudgetExceeded, match=f"exceeded {max_steps} steps"):
             ctx.qe_chain(a, b, max_steps=max_steps)
+
+
+# -- the context's last chain ------------------------------------------------------
+
+MEMO_TAUS = [constant(0), constant(5), stream(42), log_generic(7), hensel((-2, 0, 1), constant(1))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MEMO_TAUS), st.integers(0, 2**32), st.booleans(), st.booleans())
+def test_replayed_chains_match_fresh_contexts(tau, seed, neg_a, same):
+    # qe_chain(A), gcd_bezout(A), qe_chain(B), gcd_bezout(A), qe_chain(A) on
+    # one context, against a fresh context per call; B shares A's dividend
+    # (or is A itself), so the memo must key on both elements
+    rng = random.Random(seed)
+    ctx = RingContext(tau)
+    a, b, c = (random_member(ctx, rng) for _ in range(3))
+    A = (-a if neg_a else a, b)
+    B = A if same else (A[0], c)
+    calls = [("qe_chain", A), ("gcd_bezout", A), ("qe_chain", B), ("gcd_bezout", A), ("qe_chain", A)]
+    got = [getattr(ctx, name)(*pair) for name, pair in calls]
+    want = [getattr(RingContext(tau), name)(*pair) for name, pair in calls]
+    assert got == want
+    assert [ch.remainders for ch in got[::2]] == [ch.remainders for ch in want[::2]]
+    assert ctx.qe_chain(*A) is got[4]
+
+
+def test_a_repeated_pair_runs_no_division_membership_or_tau_query(monkeypatch):
+    tau = stream(42)
+    rng = random.Random(5)
+    ctx = RingContext(tau)
+    a, b = random_member(ctx, rng), random_member(ctx, rng)
+    chain = ctx.qe_chain(a, b)
+    want = RingContext(tau).gcd_bezout(a, b)
+
+    def recomputed(*args):
+        raise AssertionError("the chain was computed again")
+
+    monkeypatch.setattr(RingContext, "_divmod", recomputed)
+    monkeypatch.setattr(RingContext, "make_element", recomputed)
+    monkeypatch.setattr(type(tau), "eval_mod", recomputed)
+    assert ctx.gcd_bezout(a, b) == want
+    assert ctx.qe_chain(a, b) is chain
+    assert ctx.gcd_bezout(a, b) == want
+
+
+def test_a_non_member_pair_raises_right_after_a_hit():
+    ctx = RingContext(constant(1))
+    a, b = X + 1, as_element(2)
+    half_x = RingElement((0, 1), 2)  # not a member under tau = 1
+    ctx.qe_chain(a, b)
+    for call in (ctx.qe_chain, ctx.gcd_bezout):
+        for pair in ((half_x, b), (a, half_x)):
+            ctx.gcd_bezout(a, b)
+            with pytest.raises(NotMemberError):
+                call(*pair)
+
+
+def test_a_new_tau_on_the_context_is_a_new_chain():
+    ctx = RingContext(constant(0))
+    assert ctx.qe_chain(X, 2).quotients == (RingElement((0, 1), 2),)
+    ctx.tau = constant(1)
+    assert ctx.qe_chain(X, 2) == RingContext(constant(1)).qe_chain(X, 2)
+    assert ctx.gcd_bezout(X, 2) == RingContext(constant(1)).gcd_bezout(X, 2)
+
+
+def test_a_hit_keeps_every_step_budget():
+    # F_5010*x + 1 over F_5009*x: past gcd_bezout's budget of 10,000
+    # quotients, within a qe_chain budget of 20,000; a miss that raises
+    # leaves the last chain in place
+    from quasieuclid import fibonacci
+
+    ctx = RingContext(constant(0))
+    a, b = RingElement((1, fibonacci(5010))), RingElement((0, fibonacci(5009)))
+    chain = ctx.qe_chain(a, b, max_steps=20_000)
+    assert 10_000 < chain.length <= 20_000
+    for context in (ctx, RingContext(constant(0))):
+        with pytest.raises(StepBudgetExceeded, match="exceeded 10000 steps"):
+            context.gcd_bezout(a, b)
+        with pytest.raises(StepBudgetExceeded, match=f"exceeded {chain.length - 1} steps"):
+            context.qe_chain(a, b, max_steps=chain.length - 1)
+    with pytest.raises(StepBudgetExceeded):
+        ctx.qe_chain(8, 5, max_steps=1)
+    assert ctx.qe_chain(a, b, max_steps=chain.length) is chain
+
+
+def test_a_shared_context_matches_one_thread_under_many():
+    # more threads than cores, each alternating over the pairs from its
+    # own offset, with the interpreter switching threads every few
+    # microseconds; every result must equal the single-thread reference
+    tau = stream(42)
+    rng = random.Random(11)
+    pairs = [(random_member(RingContext(tau), rng), random_member(RingContext(tau), rng)) for _ in range(5)]
+    want = [(RingContext(tau).qe_chain(a, b), RingContext(tau).gcd_bezout(a, b)) for a, b in pairs]
+    ctx = RingContext(tau)
+    results, errors = [], []
+
+    def work(offset):
+        try:
+            for i in range(100):
+                j = (offset + i) % len(pairs)
+                chain, bezout = ctx.qe_chain(*pairs[j]), ctx.gcd_bezout(*pairs[j])
+                results.append((j, chain, chain.remainders, bezout))
+        except BaseException as exc:  # reported below, in the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        deadline = time.monotonic() + 60
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not t.is_alive(), "a thread did not finish within 60 s"
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(results) == 8 * 100
+    for j, chain, remainders, bezout in results:
+        assert (chain, bezout) == want[j]
+        assert remainders == want[j][0].remainders
 
 
 # -- divisibility ----------------------------------------------------------------
