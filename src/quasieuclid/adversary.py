@@ -25,8 +25,8 @@ from .ring import RingContext
 # [-9, 9] it was at most 4k + 7: every b of degree <= 2 at k = 50 and 200,
 # random b of degree 3 and 4 (20,000 at k = 50, 5,000 at k = 200) and 150
 # random b of degree 1 to 4 at k = 2000.  So k = 2000 keeps it within
-# qe_chain's 10,000-step budget with a fifth to spare, and such a pair
-# takes under a second.
+# qe_chain's budget of ring.CHAIN_STEPS_MAX = 10,000 steps with a fifth to
+# spare, and such a pair takes under a second.
 ADVERSARY_K_MAX = 2000
 
 

@@ -18,7 +18,7 @@ from . import classify as cl
 from .padic import TauSpec, stream, tau_from_json, zero
 from .poly import RingElement
 from .poly import format_element as _fmt
-from .ring import NotMemberError, RingContext, StepBudgetExceeded, phi
+from .ring import CHAIN_STEPS_MAX, NotMemberError, RingContext, phi
 from .syntax import ParseError, _int_literal, parse_element
 
 
@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("chain", help="canonical division chain with norm trace")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=int, default=CHAIN_STEPS_MAX)
 
     p = add("normalize", help="rewrite a chain to positive quotients")
     p.add_argument("a")
@@ -342,13 +342,9 @@ def _cmd_witness(ctx, args):
 
 def _cmd_tau(ctx, args):
     r = ctx.tau.query(args.p, args.k)
-    payload = {
-        "p": r.prime,
-        "k": r.precision,
-        "value": r.value,
-        "digits": list(r.digits()),
-    }
-    lines = [f"tau_{args.p} mod {args.p}^{args.k} = {r.value} (digits {list(r.digits())})"]
+    digits = list(r.digits())
+    payload = {"p": r.prime, "k": r.precision, "value": r.value, "digits": digits}
+    lines = [f"tau_{args.p} mod {args.p}^{args.k} = {r.value} (digits {digits})"]
     return payload, lines
 
 
@@ -377,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotMemberError, ZeroDivisionError, ValueError, StepBudgetExceeded) as exc:
+    except (NotMemberError, ZeroDivisionError, ValueError) as exc:
         if _DIGIT_LIMIT_TEXT in str(exc):
             # the input was checked against the limit, so an output int is
             # too long to print; no JSON can carry it either

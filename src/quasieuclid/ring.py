@@ -10,11 +10,27 @@ therefore carries terminating division chains and Bezout GCDs.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+import sys
+from itertools import groupby
+from typing import NamedTuple
 
 from .chains import DivisionChain
-from .padic import TauSpec, factorize
+from .padic import BudgetExceeded, TauSpec, factorize
 from .poly import ONE, ZERO, RingElement, _const, _lincomb, _pdiv, _submul, as_element, qdiv
+
+# The step budget of gcd_bezout and the default one of qe_chain.  Chains
+# terminate but can be long: F_5010*x + 1 over F_5009*x takes more than
+# 10,000 quotients.
+CHAIN_STEPS_MAX = 10_000
+
+
+def _shown(x, what: str) -> str:
+    """str(x), or, when x holds an integer past the interpreter's limit for
+    printing one, what it is in its place."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"{what} of more than {sys.get_int_max_str_digits()} decimal digits"
 
 
 class NotMemberError(ValueError):
@@ -26,14 +42,15 @@ class NotMemberError(ValueError):
         self.precision = precision
         self.residue = residue
         super().__init__(
-            f"{element} is not in the ring: numerator evaluates to "
-            f"{residue} mod {prime}^{precision}, expected 0"
+            f"{_shown(element, 'an element with an integer')} is not in the ring: numerator "
+            f"evaluates to {_shown(residue, 'an integer')} mod {prime}^{precision}, expected 0"
         )
 
 
-class StepBudgetExceeded(RuntimeError):
-    """A division chain failed to terminate; this indicates a library bug,
-    not bad input."""
+class StepBudgetExceeded(BudgetExceeded, RuntimeError):
+    """A division chain ran past its step budget (CHAIN_STEPS_MAX unless
+    given).  Every chain terminates, so this is a long chain, not a defect;
+    it stays a RuntimeError for callers that catch one."""
 
 
 class NormTuple(NamedTuple):
@@ -61,65 +78,50 @@ def phi(q: RingElement, r: RingElement) -> NormTuple:
     return NormTuple(delta, q.degree + 1, r.degree, denom, scaled)
 
 
-_Matrix = tuple[int, int, int, int]
-
-
-def _run(A: int, B: int) -> tuple[tuple[int, ...], _Matrix]:
+def _run(A: int, B: int) -> list[int]:
     """Integer Euclid on A, B > 0 up to its first exact division: the
-    quotients c_1..c_k (none when A/B is an integer) and the matrix
-    (m00, m01, m10, m11) taking (x_0, x_1) to (x_k, x_{k+1}), where
-    x_{i+1} = x_{i-1} - c_i*x_i."""
+    quotients c_1..c_k, none when A/B is an integer."""
     quots = []
-    m00, m01, m10, m11 = 1, 0, 0, 1
     c, r = divmod(A, B)
     while r:
         quots.append(c)
-        m00, m01, m10, m11 = m10, m11, m00 - c * m10, m01 - c * m11
         A, B = B, r
         c, r = divmod(A, B)
-    return tuple(quots), (m00, m01, m10, m11)
+    return quots
 
 
-def _combine(m: _Matrix, w: RingElement, u: RingElement) -> tuple[RingElement, RingElement]:
-    """(m00*w + m01*u, m10*w + m11*u) for a run's matrix m, one _lincomb each;
-    m00 = 0 only after a one-quotient run, whose first row is (0, 1)."""
-    m00, m01, m10, m11 = m
-    first = u if m00 == 0 else _lincomb(m00, w, m01, u)
+def _combine(quots: list[int], w: RingElement, u: RingElement) -> tuple[RingElement, RingElement]:
+    """(x_k, x_{k+1}) from (x_0, x_1) = (w, u) under x_{i+1} = x_{i-1} -
+    c_i*x_i for the integer quotients c_1..c_k: their 2x2 matrix, then one
+    _lincomb per row.  The matrix has determinant +-1, so a first row
+    (0, m01) is (0, +-1) and gives +-u."""
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    for c in quots:
+        m00, m01, m10, m11 = m10, m11, m00 - c * m10, m01 - c * m11
+    if m00 == 0:
+        first = u if m01 == 1 else -u
+    else:
+        first = _lincomb(m00, w, m01, u)
     return first, _lincomb(m10, w, m11, u)
 
 
-_Step = tuple[RingElement | tuple[int, ...], _Matrix | None, RingElement]
-
-
-class _Chained(NamedTuple):
-    """A context's last chained pair: the steps of _steps from (a, b), the
-    number of quotients they hold, and the DivisionChain once qe_chain has
-    built one.  Equal normal forms under one tau determine all of it."""
-
-    tau: TauSpec
-    a: RingElement
-    b: RingElement
-    steps: tuple[_Step, ...]
-    length: int
-    chain: DivisionChain | None
-
-
-def _over_budget(a: RingElement, b: RingElement, max_steps: int) -> StepBudgetExceeded:
-    return StepBudgetExceeded(f"division chain from ({a}, {b}) exceeded {max_steps} steps")
+def _over_budget(max_steps: int) -> StepBudgetExceeded:
+    return StepBudgetExceeded(f"division chain exceeded {max_steps} steps")
 
 
 class RingContext:
     """A choice of tau; membership of h/n is tau.eval_mod(h, n) == 0.
 
-    A context keeps only the last pair's chain, swapped in as one immutable
-    tuple, so it is as safe to share between threads as its tau: every
-    operation is deterministic in (tau, inputs), and a thread reads the
-    memo once and either replays a whole entry or computes its own.
+    A context keeps its last DivisionChain and that chain's last nonzero
+    remainder g, swapped in as one immutable tuple (tau, chain, g), so it is
+    as safe to share between threads as its tau: every operation is
+    deterministic in (tau, inputs), and a thread reads the memo once and
+    either uses a whole entry or computes its own.
     """
 
     def __init__(self, tau: TauSpec):
         self.tau = tau
-        self._last: _Chained | None = None
+        self._last: tuple[TauSpec, DivisionChain, RingElement] | None = None
 
     # -- membership -------------------------------------------------------
 
@@ -194,11 +196,10 @@ class RingContext:
 
     # -- chains, gcd, divisibility -----------------------------------------
 
-    def _steps(self, a: RingElement, b: RingElement, max_steps: int) -> Iterator[_Step]:
+    def _chain(self, a, b, max_steps: int) -> tuple[DivisionChain, RingElement]:
         """The division chain from (a, b), through the first zero remainder,
-        as runs (quotients, m, s) and division steps (p, None, s), each with
-        its last remainder s; a and b are validated once, and max_steps
-        bounds the number of quotients.
+        and its last nonzero remainder g; a and b are validated once, and
+        max_steps bounds the number of quotients.
 
         While prev and cur have equal degrees and positive leading
         coefficients, a step's quotient is the integer c = floor(lc prev /
@@ -207,85 +208,73 @@ class RingContext:
         coefficients (Lehmer; Knuth, TAOCP vol. 2, 4.5.2, Algorithm L, here
         with exact leading coefficients).  The run stops before the first
         exact ratio, where the lower terms decide the sign of the remainder,
-        and builds the new (prev, cur) from its integer matrix m with one
+        and _combine builds the new (prev, cur) from its quotients with one
         combination each.  That step and every step that drops the degree
-        are division steps.
-        """
-        self.make_element(a)
-        self.make_element(b)
-        if b.is_zero:
-            raise ZeroDivisionError("chain requires b != 0")
-        prev, cur, n = a, b, 0
-        while True:
-            pn, cn = prev._num, cur._num
-            if len(pn) == len(cn) and pn[-1] > 0 and cn[-1] > 0:
-                quots, m = _run(pn[-1] * cur._den, cn[-1] * prev._den)
-                if quots:
-                    # a run ends before an exact ratio, so a step follows it
-                    n += len(quots)
-                    if n >= max_steps:
-                        break
-                    prev, cur = _combine(m, prev, cur)
-                    yield quots, m, cur
-            p, s = self._divmod(prev, cur)
-            yield p, None, s
-            if s.is_zero:
-                return
-            n += 1
-            if n >= max_steps:
-                break
-            prev, cur = cur, s
-        raise _over_budget(a, b, max_steps)
+        go through _divmod.
 
-    def _chained(self, a, b, max_steps: int) -> _Chained:
-        """The chain from (a, b) as _steps yields it.  The context keeps the
-        last pair it chained: equal a and b under the same tau replay its
-        steps, with no division, membership check or tau query, and raise
-        StepBudgetExceeded exactly where a fresh pass would.  Any other pair
-        runs _steps and, when the pass completes, takes its place."""
+        The context keeps the last pair it chained: equal a and b under the
+        same tau return the same chain and g, with no division, membership
+        check or tau query, and raise StepBudgetExceeded exactly where a
+        fresh pass would.  Any other pair runs the loop and, when it
+        completes, takes its place.
+        """
         if max_steps < 1:
             raise ValueError("max_steps must be positive")
         a, b = as_element(a), as_element(b)
         last = self._last
-        if last is None or last.tau is not self.tau or last.a != a or last.b != b:
-            steps = tuple(self._steps(a, b, max_steps))
-            length = sum(1 if m is None else len(p) for p, m, _ in steps)
-            last = self._last = _Chained(self.tau, a, b, steps, length, None)
-        elif last.length > max_steps:
-            raise _over_budget(a, b, max_steps)
-        return last
+        if last is not None:
+            tau, chain, g = last
+            if tau is self.tau and chain.a == a and chain.b == b:
+                if chain.length > max_steps:
+                    raise _over_budget(max_steps)
+                return chain, g
+        self.make_element(a)
+        self.make_element(b)
+        if b.is_zero:
+            raise ZeroDivisionError("chain requires b != 0")
+        quots, prev, cur = [], a, b
+        while True:
+            pn, cn = prev._num, cur._num
+            if len(pn) == len(cn) and pn[-1] > 0 and cn[-1] > 0:
+                run = _run(pn[-1] * cur._den, cn[-1] * prev._den)
+                if run:
+                    prev, cur = _combine(run, prev, cur)
+                    quots += map(_const, run)
+            # a run ends before an exact ratio, so a division step follows
+            if len(quots) >= max_steps:
+                raise _over_budget(max_steps)
+            p, s = self._divmod(prev, cur)
+            quots.append(p)
+            if s.is_zero:
+                break
+            prev, cur = cur, s
+        chain = DivisionChain(a, b, tuple(quots))
+        self._last = (self.tau, chain, cur)
+        return chain, cur
 
-    def qe_chain(self, a, b, max_steps: int = 10_000) -> DivisionChain:
+    def qe_chain(self, a, b, max_steps: int = CHAIN_STEPS_MAX) -> DivisionChain:
         """Iterate division with remainder from (a, b) until remainder 0.
 
-        Termination is guaranteed by the norm descent; max_steps is a
-        safety valve whose breach signals a defect, not a usage error.
-        Asked again for the context's last pair, it returns the same chain,
-        whose remainders are then derived once.
+        Termination is guaranteed by the norm descent; a chain longer than
+        max_steps raises StepBudgetExceeded.  Asked again for the context's
+        last pair, it returns the same chain, whose remainders are then
+        derived once.
         """
-        last = self._chained(a, b, max_steps)
-        if last.chain is None:
-            quots = []
-            for p, m, _ in last.steps:
-                if m is None:
-                    quots.append(p)
-                else:
-                    quots += [_const(c) for c in p]
-            last = last._replace(chain=DivisionChain(last.a, last.b, tuple(quots)))
-            self._last = last
-        return last.chain
+        return self._chain(a, b, max_steps)[0]
 
     def gcd_bezout(self, a, b) -> tuple[RingElement, RingElement, RingElement]:
         """(g, u, v) with g = u*a + v*b, g > 0, and g dividing both a and b.
 
-        Half-extended: the division chain carries only the cofactor of a
-        beside the remainders, u <- u_prev - p*u for a division step and
-        the run's integer matrix on (u_prev, u) for a run, and v =
-        (g - u*a)/b is one exact division at the end (Knuth, TAOCP vol. 2,
-        4.5.2, the remark after Algorithm X).  On integers this reproduces
-        the extended Euclidean algorithm exactly.  After qe_chain on the
-        same pair it replays that chain's steps.  A non-member a or b
-        raises NotMemberError, b = 0 included.
+        Half-extended: g is the last nonzero remainder of the chain from
+        (a, b), whose quotients but the last carry only the cofactor of a,
+        u <- u_prev - p*u, with each stretch of integer quotients folded
+        into one 2x2 matrix by _combine; v = (g - u*a)/b is one exact
+        division at the end (Knuth, TAOCP vol. 2, 4.5.2, the remark after
+        Algorithm X).  On integers this reproduces the extended Euclidean
+        algorithm exactly.  The chain is the context's last one when the
+        pair was just chained; one past CHAIN_STEPS_MAX quotients raises
+        StepBudgetExceeded.  A non-member a or b raises NotMemberError,
+        b = 0 included.
         """
         a, b = as_element(a), as_element(b)
         if a.is_zero and b.is_zero:
@@ -293,15 +282,15 @@ class RingContext:
         if b.is_zero:
             g, u, v = self.make_element(a), ONE, ZERO
         else:
-            g, u_prev, u = b, ONE, ZERO
-            for p, m, s in self._chained(a, b, 10_000).steps:
-                if s.is_zero:
-                    break
-                if m is None:
-                    u_prev, u = u, _submul(u_prev, p, u)
+            chain, g = self._chain(a, b, CHAIN_STEPS_MAX)
+            u_prev, u = ONE, ZERO
+            quots = chain.quotients[:-1]
+            for ints, stretch in groupby(quots, lambda p: p._den == 1 and len(p._num) < 2):
+                if ints:
+                    u_prev, u = _combine([p._num[0] if p._num else 0 for p in stretch], u_prev, u)
                 else:
-                    u_prev, u = _combine(m, u_prev, u)
-                g = s
+                    for p in stretch:
+                        u_prev, u = u, _submul(u_prev, p, u)
             v, rem = qdiv(_submul(g, u, a), b)
             if not rem.is_zero:
                 raise RuntimeError("Bezout cofactor v is not exact (bug)")

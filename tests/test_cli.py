@@ -372,6 +372,19 @@ def test_chain_rejects_nonpositive_max_steps(capsys):
     assert "max_steps must be positive" in err
 
 
+def test_step_budget_past_huge_inputs_is_one_short_line(capsys):
+    code, out, err = run_cli(capsys, "chain", "--max-steps", "1", "2^20000*x+1", "3x")
+    assert (code, out) == (1, "")
+    assert err == "error: division chain exceeded 1 steps\n"
+
+
+def test_non_member_past_the_digit_limit_is_not_in_the_ring(capsys):
+    code, out, err = run_cli(capsys, "divmod", "--tau", '{"kind":"constant","value":1}', "x/2^20000", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert "not in the ring" in err
+
+
 def test_factoring_budget_exits_1_without_traceback():
     # (2^61 - 1)(10^18 + 9): two 60-bit primes, far past the rho budget
     proc = _run_module(

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from quasieuclid import (
     ONE,
+    BudgetExceeded,
+    DivisionChain,
     StepBudgetExceeded,
     X,
     ZERO,
@@ -31,6 +33,7 @@ from quasieuclid import (
     zero,
 )
 from quasieuclid.adversary import integer_mod
+from quasieuclid.ring import _combine
 
 from _corpus import TAU_SPECS, member_pair
 
@@ -416,6 +419,26 @@ def test_qe_chain_step_budget_is_loud():
         ctx.qe_chain(8, 5, max_steps=1)
 
 
+def test_step_budget_message_is_short_for_huge_inputs():
+    # the message names the budget, not the pair, so it needs no printing
+    # of an integer past the interpreter's digit limit
+    ctx = RingContext(constant(0))
+    a = RingElement((1, 2**20000))
+    with pytest.raises(StepBudgetExceeded, match="exceeded 1 steps") as info:
+        ctx.qe_chain(a, 3 * X, max_steps=1)
+    assert len(str(info.value)) < 200
+    assert isinstance(info.value, BudgetExceeded) and isinstance(info.value, RuntimeError)
+
+
+def test_non_member_past_the_digit_limit_raises_not_member_error():
+    ctx = RingContext(constant(1))
+    with pytest.raises(NotMemberError, match="is not in the ring") as info:
+        ctx.make_element(RingElement((0, 1), 2**20000))
+    assert f"more than {sys.get_int_max_str_digits()} decimal digits" in str(info.value)
+    with pytest.raises(NotMemberError, match=r"^x/2 is not in the ring: numerator evaluates to 1 mod 2\^1, expected 0$"):
+        ctx.make_element(RingElement((0, 1), 2))
+
+
 def test_qe_chain_rejects_nonpositive_step_budget():
     ctx = RingContext(constant(0))
     for max_steps in (0, -1):
@@ -576,12 +599,41 @@ def test_gcd_matches_matrix_form(tau, seed, shape, neg_a, neg_b):
 
 
 def test_gcd_checks_its_cofactor_exactly(monkeypatch):
-    # a step sequence that is not the chain of (a, b) leaves g - u*a
+    # a quotient sequence that is not the chain of (a, b) leaves g - u*a
     # outside b's multiples; the check is a raise, so it holds under -O
     ctx = RingContext(constant(0))
-    monkeypatch.setattr(ctx, "_steps", lambda a, b, n: iter([(ZERO, None, as_element(3)), (ONE, None, ZERO)]))
+    monkeypatch.setattr(ctx, "_chain", lambda a, b, n: (DivisionChain(a, b, (ZERO, ONE)), as_element(3)))
     with pytest.raises(RuntimeError, match="not exact"):
         ctx.gcd_bezout(X * X, X + 1)
+
+
+def _stepwise_pair(quots, w, u):
+    # x_{i+1} = x_{i-1} - c_i*x_i one quotient at a time, from (x_0, x_1) = (w, u)
+    for c in quots:
+        w, u = u, w - as_element(c) * u
+    return w, u
+
+
+@pytest.mark.parametrize(
+    "quots, first_row",
+    [((7,), (0, 1)), ((-3,), (0, 1)), ((0,), (0, 1)), ((5, -1, 1, 4), (0, -1)), ((-2, -1, 1, 0), (0, -1))],
+)
+def test_combine_first_row_zero_gives_plus_or_minus_u(quots, first_row):
+    m, n = (1, 0), (0, 1)  # the rows of the quotients' matrix
+    for c in quots:
+        m, n = n, (m[0] - c * n[0], m[1] - c * n[1])
+    assert m == first_row
+    w, u = RingElement((1, 2, 3), 5), RingElement((-4, 0, 1), 7)
+    assert _combine(list(quots), w, u) == _stepwise_pair(quots, w, u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=8), st.integers(0, 2**32))
+def test_combine_matches_stepwise_recurrence(quots, seed):
+    rng = random.Random(seed)
+    ctx = RingContext(constant(0))
+    w, u = random_member(ctx, rng), random_member(ctx, rng)
+    assert _combine(quots, w, u) == _stepwise_pair(quots, w, u)
 
 
 # -- runs of equal-degree steps -------------------------------------------------
