@@ -8,6 +8,8 @@ offset in [0, d) making d divide b - beta in the ring.  The guarantee is
 verified through the canonical chain: by the two-for-one bound, remainders
 of the canonical chain through index 2k dominate the remainders of every
 chain of length <= k.
+
+An AdversaryReport's JSON form is the object of its fields (poly._Record).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 from .chains import fib_pair_for
 from .padic import BudgetExceeded
-from .poly import ZERO, RingElement, as_element
+from .poly import ZERO, RingElement, _Record, as_element
 from .ring import RingContext
 
 # The largest stage budget k.  The canonical chain from an adversarial pair
@@ -36,7 +38,7 @@ def _check_k(k: int) -> None:
 
 
 @dataclass(frozen=True)
-class AdversaryReport:
+class AdversaryReport(_Record):
     """Outcome of the degree-retention check for one constructed pair."""
 
     k: int
@@ -47,18 +49,6 @@ class AdversaryReport:
     a: RingElement
     degrees: tuple[int, ...]
     verdict: bool
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "b": self.b.to_json(),
-            "c": self.c,
-            "d": self.d,
-            "beta": self.beta,
-            "a": self.a.to_json(),
-            "degrees": list(self.degrees),
-            "verdict": self.verdict,
-        }
 
 
 def integer_mod(ctx: RingContext, b: RingElement, d: int) -> int:

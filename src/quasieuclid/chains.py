@@ -6,6 +6,9 @@ follow from r_1 = a - q_1 b and r_{i+1} = r_{i-1} - q_{i+1} r_i.  DivisionChain
 takes only (a, b, quotients) and derives the remainders on first read, then
 caches them, so the recurrence holds by construction and every
 transformation below is a rewrite of the quotient tuple alone.
+
+A record's JSON form is the object of its fields (poly._Record); a
+DivisionChain adds its derived remainders.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .poly import ZERO, ONE, RingElement, _submul, as_element
+from .poly import ZERO, ONE, RingElement, _fields_json, _json, _Record, _submul, as_element
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ring import RingContext
@@ -66,12 +69,7 @@ class DivisionChain:
         return all(q > ZERO for q in self.quotients[1:])
 
     def to_json(self) -> dict:
-        return {
-            "a": self.a.to_json(),
-            "b": self.b.to_json(),
-            "quotients": [q.to_json() for q in self.quotients],
-            "remainders": [r.to_json() for r in self.remainders],
-        }
+        return {**_fields_json(self), "remainders": _json(self.remainders)}
 
     def __str__(self) -> str:
         qs = ", ".join(str(q) for q in self.quotients)
@@ -200,7 +198,7 @@ class ComparisonRow(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ChainComparison:
+class ChainComparison(_Record):
     """Per-index lower bounds on |r_l| in terms of the canonical remainders.
 
     rows holds the two-for-one bound |r_l| >= f_{2l} for l up to
@@ -214,23 +212,6 @@ class ChainComparison:
     rows: tuple[ComparisonRow, ...]
     final: ComparisonRow | None
     ok: bool
-
-    def to_json(self) -> dict:
-        def row_json(row: ComparisonRow) -> dict:
-            return {
-                "index": row.index,
-                "remainder_abs": row.remainder_abs.to_json(),
-                "bound": row.bound.to_json(),
-                "ok": row.ok,
-            }
-
-        return {
-            "chain": self.chain.to_json(),
-            "canonical": self.canonical.to_json(),
-            "rows": [row_json(r) for r in self.rows],
-            "final": row_json(self.final) if self.final is not None else None,
-            "ok": self.ok,
-        }
 
 
 def compare_to_qe(ctx: "RingContext", c: DivisionChain) -> ChainComparison:

@@ -5,6 +5,8 @@ mod p^k decide how far h can be divided inside the ring.  A bounded scan
 can refute unique factorization (by exhibiting an infinite-looking descent)
 but can never confirm it, so absence of a witness is always reported as
 inconclusive rather than as a classification.
+
+The JSON form of each record here is the object of its fields (poly._Record).
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from .padic import (
     primes_upto,
     zero,
 )
-from .poly import RingElement, as_element
+from .poly import RingElement, _Record, as_element
 from .ring import RingContext
 
 
 @dataclass(frozen=True)
-class PrimeHit:
+class PrimeHit(_Record):
     """One prime with a residue zero: the deepest k <= k_max with
     h(tau_p) = 0 mod p^k, whether that depth hit the scan ceiling, and
     whether the spec certifies the zero as exact (all precisions)."""
@@ -38,7 +40,7 @@ class PrimeHit:
 
 
 @dataclass(frozen=True)
-class ShScan:
+class ShScan(_Record):
     """Residue zeros of h within the box p <= p_max, k <= k_max."""
 
     h: RingElement
@@ -54,22 +56,6 @@ class ShScan:
 
     def exact_primes(self) -> tuple[int, ...]:
         return tuple(hit.prime for hit in self.hits if hit.exact)
-
-    def to_json(self) -> dict:
-        return {
-            "h": self.h.to_json(),
-            "p_max": self.p_max,
-            "k_max": self.k_max,
-            "hits": [
-                {
-                    "prime": hit.prime,
-                    "depth": hit.depth,
-                    "saturated": hit.saturated,
-                    "exact": hit.exact,
-                }
-                for hit in self.hits
-            ],
-        }
 
 
 # The largest scan box: the sieve to SCAN_P_MAX takes a byte per integer
@@ -129,7 +115,7 @@ def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
 
 
 @dataclass(frozen=True)
-class NonUfdWitness:
+class NonUfdWitness(_Record):
     """A strictly descending divisibility chain below h, refuting unique
     factorization.  kind is "prime_power" (h/p, h/p^2, ...) or
     "distinct_primes" (h/p1, h/(p1 p2), ...)."""
@@ -138,14 +124,6 @@ class NonUfdWitness:
     kind: str
     primes: tuple[int, ...]
     chain: tuple[RingElement, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "h": self.h.to_json(),
-            "kind": self.kind,
-            "primes": list(self.primes),
-            "chain": [e.to_json() for e in self.chain],
-        }
 
 
 def non_ufd_witness(

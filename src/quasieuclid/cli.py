@@ -16,9 +16,9 @@ from . import adversary as adv
 from . import chains as ch
 from . import classify as cl
 from .padic import TauSpec, stream, tau_from_json, zero
-from .poly import RingElement
+from .poly import RingElement, _json
 from .poly import format_element as _fmt
-from .ring import CHAIN_STEPS_MAX, NotMemberError, RingContext, phi
+from .ring import CHAIN_STEPS_MAX, NotMemberError, RingContext, _shown, phi
 from .syntax import ParseError, _int_literal, parse_element
 
 
@@ -152,39 +152,38 @@ def _parse(text: str) -> RingElement:
 
 
 # -- subcommand handlers: each returns (json_payload, text_lines) ------------
+# A payload holds library values as they are; main encodes it with poly._json.
 
 
 def _cmd_member(ctx, args):
     e = _parse(args.element)
     verdict = ctx.is_member(e)
-    payload = {"element": e.to_json(), "member": verdict}
-    return payload, [f"{_fmt(e)}: {'true' if verdict else 'false'}"]
+    try:
+        text = _fmt(e)
+    except ValueError:
+        if verdict:
+            raise
+        # named as NotMemberError names a non-member; no JSON can carry it
+        text, e = _shown(e, "an element with an integer"), None
+    return {"element": e, "member": verdict}, [f"{text}: {'true' if verdict else 'false'}"]
 
 
 def _cmd_divmod(ctx, args):
     q = ctx.make_element(_parse(args.dividend))
     r = ctx.make_element(_parse(args.divisor))
     p, s = ctx.divmod(q, r)
-    payload = {"quotient": p.to_json(), "remainder": s.to_json()}
-    return payload, [f"quotient:  {_fmt(p)}", f"remainder: {_fmt(s)}"]
+    return {"quotient": p, "remainder": s}, [f"quotient:  {_fmt(p)}", f"remainder: {_fmt(s)}"]
 
 
 def _cmd_gcd(ctx, args):
     a = _parse(args.a)
     b = _parse(args.b)
     g, u, v = ctx.gcd_bezout(a, b)
-    payload = {
-        "a": a.to_json(),
-        "b": b.to_json(),
-        "gcd": g.to_json(),
-        "u": u.to_json(),
-        "v": v.to_json(),
-    }
     lines = [
         f"gcd: {_fmt(g)}",
         f"bezout: {_fmt(g)} = ({_fmt(u)})*({_fmt(a)}) + ({_fmt(v)})*({_fmt(b)})",
     ]
-    return payload, lines
+    return {"a": a, "b": b, "gcd": g, "u": u, "v": v}, lines
 
 
 def _phi_list(chain: ch.DivisionChain) -> list:
@@ -197,8 +196,7 @@ def _cmd_chain(ctx, args):
     b = _parse(args.b)
     chain = ctx.qe_chain(a, b, max_steps=args.max_steps)
     norms = _phi_list(chain)
-    payload = chain.to_json()
-    payload["phi"] = norms
+    payload = {**chain.to_json(), "phi": norms}
     lines = [f"a = {_fmt(chain.a)}", f"b = {_fmt(chain.b)}", f"phi(a, b) = {tuple(norms[0])}"]
     for i, (q, r) in enumerate(zip(chain.quotients, chain.remainders), start=1):
         lines.append(
@@ -218,21 +216,16 @@ def _cmd_normalize(ctx, args):
     chain = _chain_from_args(ctx, args)
     steps = list(ch.normalize_steps(chain))
     final = steps[-1][1] if steps else chain
-    payload = {
-        "start": chain.to_json(),
-        "steps": [{"op": op, "chain": c.to_json()} for op, c in steps],
-        "result": final.to_json(),
-    }
     lines = [f"start: {chain}"]
     lines += [f"{op} -> {c}" for op, c in steps]
     lines.append(f"result: {final}")
-    return payload, lines
+    steps_json = [{"op": op, "chain": c} for op, c in steps]
+    return {"start": chain, "steps": steps_json, "result": final}, lines
 
 
 def _cmd_compare(ctx, args):
     chain = _chain_from_args(ctx, args)
     report = ch.compare_to_qe(ctx, chain)
-    payload = report.to_json()
     lines = [f"chain: {chain}", f"canonical length: {report.canonical.length}"]
     for row in report.rows:
         lines.append(
@@ -246,7 +239,7 @@ def _cmd_compare(ctx, args):
             f" : {'ok' if row.ok else 'VIOLATED'}"
         )
     lines.append(f"verdict: {'ok' if report.ok else 'VIOLATED'}")
-    return payload, lines
+    return report, lines
 
 
 def _norm_descent_demo(ctx, args, report) -> tuple[dict, list[str]]:
@@ -284,18 +277,13 @@ def _norm_descent_demo(ctx, args, report) -> tuple[dict, list[str]]:
         trail.append(r)
         b = r
     lines.append(f"  verdict: {verdict}")
-    payload = {
-        "trail": [e.to_json() for e in trail],
-        "verdict": verdict,
-    }
-    return payload, lines
+    return {"trail": trail, "verdict": verdict}, lines
 
 
 def _cmd_adversary(ctx, args):
     b = ctx.make_element(_parse(args.b))
     a = adv.adversarial_pair(ctx, args.k, b)
     report = adv.degree_retention_check(ctx, args.k, a, b)
-    payload = report.to_json()
     lines = [
         f"k = {report.k}, b = {_fmt(report.b)}",
         f"(c, d) = ({report.c}, {report.d}), beta = {report.beta}",
@@ -303,17 +291,15 @@ def _cmd_adversary(ctx, args):
         f"degrees of first {2 * report.k} remainders: {list(report.degrees)}",
         f"verdict: {'true' if report.verdict else 'false'}",
     ]
-    if args.norm_file:
-        extra_payload, extra_lines = _norm_descent_demo(ctx, args, report)
-        payload["norm_walk"] = extra_payload
-        lines += extra_lines
-    return payload, lines
+    if not args.norm_file:
+        return report, lines
+    walk, walk_lines = _norm_descent_demo(ctx, args, report)
+    return {**report.to_json(), "norm_walk": walk}, lines + walk_lines
 
 
 def _cmd_scan(ctx, args):
     h = _parse(args.h)
     scan = cl.scan_sh(ctx, h, args.pmax, args.kmax)
-    payload = scan.to_json()
     lines = [f"h = {_fmt(h)}, box: p <= {args.pmax}, k <= {args.kmax}"]
     if not scan.hits:
         lines.append("no residue zeros in the box")
@@ -325,19 +311,18 @@ def _cmd_scan(ctx, args):
             flags.append("exact")
         suffix = f" ({', '.join(flags)})" if flags else ""
         lines.append(f"p = {hit.prime}: depth {hit.depth}{suffix}")
-    return payload, lines
+    return scan, lines
 
 
 def _cmd_witness(ctx, args):
     h = _parse(args.h)
     witness = cl.non_ufd_witness(ctx, h, args.depth, p_max=args.pmax, k_max=args.kmax)
     if witness is None:
-        payload = {"h": h.to_json(), "witness": None}
-        return payload, ["no witness within bounds (inconclusive)"]
-    payload = {"h": h.to_json(), "witness": witness.to_json()}
-    lines = [f"kind: {witness.kind}", f"primes: {list(witness.primes)}"]
-    lines += [f"  {_fmt(e)}" for e in witness.chain]
-    return payload, lines
+        lines = ["no witness within bounds (inconclusive)"]
+    else:
+        lines = [f"kind: {witness.kind}", f"primes: {list(witness.primes)}"]
+        lines += [f"  {_fmt(e)}" for e in witness.chain]
+    return {"h": h, "witness": witness}, lines
 
 
 def _cmd_tau(ctx, args):
@@ -369,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ctx = RingContext(_load_tau(args))
         payload, lines = _HANDLERS[args.command](ctx, args)
-        text = json.dumps(payload, sort_keys=True) if json_mode else None
+        text = json.dumps(payload, sort_keys=True, default=_json) if json_mode else None
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

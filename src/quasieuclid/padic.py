@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .poly import RingElement, qdiv
+from .poly import RingElement, _json, qdiv
 
 
 # --------------------------------------------------------------------------
@@ -567,7 +567,7 @@ class TauSpec(ABC):
 
     def to_json(self) -> dict:
         """JSON-serializable description; inverse of tau_from_json."""
-        return {"kind": self.kind, **{f: getattr(self, f) for f in self._fields}}
+        return {"kind": self.kind, **{f: _json(getattr(self, f)) for f in self._fields}}
 
     @classmethod
     def _read(cls, data: Mapping, depth: int) -> TauSpec:
@@ -736,13 +736,6 @@ class HenselTau(TauSpec):
         # sufficient condition: every root of f is a root of h
         return _divides(self.poly, tuple(h))
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "poly": list(self.poly),
-            "fallback": self.fallback.to_json(),
-        }
-
     @classmethod
     def _read(cls, data: Mapping, depth: int) -> TauSpec:
         poly = data["poly"]
@@ -788,13 +781,6 @@ class PiecewiseTau(_SplitTau):
 
     def _pick(self, p: int) -> TauSpec:
         return self.overrides.get(p, self.default)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "overrides": {str(p): s.to_json() for p, s in sorted(self.overrides.items())},
-            "default": self.default.to_json(),
-        }
 
     @classmethod
     def _read(cls, data: Mapping, depth: int) -> TauSpec:

@@ -6,13 +6,18 @@ kept in lowest terms (the gcd of the coefficients is coprime to the
 denominator).  Coefficients are arbitrary-precision integers; nothing here
 ever touches floating point.  Conventions: the zero polynomial has degree
 -1 and leading coefficient 0.
+
+_json is the library's one JSON encoder.  A record (a dataclass that mixes
+in _Record, or a NamedTuple) is the object of its fields, an element its
+to_json(); the CLI passes _json to json.dumps as its default.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
-from functools import total_ordering
+from functools import cache, total_ordering
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -129,11 +134,7 @@ class RingElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        g = math.gcd(self._den, o._den)
-        l = self._den // g * o._den
-        fa, fb = l // self._den, l // o._den
-        coeffs = [fa * x + fb * y for x, y in zip_longest(self._num, o._num, fillvalue=0)]
-        return RingElement._from_normal(coeffs, l)
+        return _lincomb(1, self, 1, o)
 
     __radd__ = __add__
 
@@ -141,13 +142,13 @@ class RingElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _submul(self, ONE, o)
+        return _lincomb(1, self, -1, o)
 
     def __rsub__(self, other) -> "RingElement":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _submul(o, ONE, self)
+        return _lincomb(1, o, -1, self)
 
     def __mul__(self, other) -> "RingElement":
         o = self._coerce(other)
@@ -364,6 +365,49 @@ def qdiv(q: RingElement, r: RingElement) -> tuple[RingElement, RingElement]:
     if r.den != 1:
         quo = [r.den * c for c in quo]
     return RingElement._from_normal(quo, den), RingElement._from_normal(rem, den)
+
+
+# --------------------------------------------------------------------------
+# JSON form.
+
+
+@cache  # dataclasses.fields is slow, so each type's names are read once
+def _field_names(cls: type) -> tuple[str, ...]:
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    if issubclass(cls, tuple) and hasattr(cls, "_fields"):
+        return cls._fields
+    raise TypeError(f"{cls.__name__} has no JSON form")
+
+
+def _fields_json(value) -> dict:
+    return {name: _json(getattr(value, name)) for name in _field_names(type(value))}
+
+
+def _json(value):
+    """value as it is when an int, bool, str or None; a list for an exact
+    tuple or list; str() keys in sorted order for a dict; to_json() when
+    value has one (an element, a record, a tau spec); the object of its
+    fields for another dataclass or a NamedTuple.  Anything else, a float
+    or Fraction too, is a TypeError."""
+    t = type(value)
+    if t is int or t is bool or t is str or value is None:
+        return value
+    if t is tuple or t is list:
+        return [_json(v) for v in value]
+    if t is dict:
+        return {str(k): _json(value[k]) for k in sorted(value)}
+    to_json = getattr(value, "to_json", None)
+    if to_json is not None:
+        return to_json()
+    return _fields_json(value)
+
+
+class _Record:
+    """Mixin for a dataclass whose JSON form is the object of its fields."""
+
+    def to_json(self) -> dict:
+        return _fields_json(self)
 
 
 # --------------------------------------------------------------------------

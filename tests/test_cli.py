@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from quasieuclid import RingElement, hensel_lift, parse_element
+from quasieuclid import RingElement, hensel_lift, parse_element, stream
 from quasieuclid.cli import main
 from quasieuclid.ring import RingContext
 
@@ -504,6 +504,26 @@ def test_result_past_the_digit_limit_is_one_error_line(json_flag):
     assert f"more than {sys.get_int_max_str_digits()} decimal digits" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "set_int_max_str_digits" not in proc.stderr
+
+
+def test_member_gives_a_non_member_verdict_past_the_print_limit(capsys):
+    # x/3^9100 parses from 9 characters, but 3^9100 has 4,342 digits
+    e = parse_element("x/3^9100")
+    assert RingContext(stream(1)).is_member(e) is False
+    code, out, err = run_cli(capsys, "member", "--seed", "1", "x/3^9100")
+    limit = sys.get_int_max_str_digits()
+    assert (code, err) == (0, "")
+    assert out == f"an element with an integer of more than {limit} decimal digits: false\n"
+    code, out, err = run_cli(capsys, "member", "--seed", "1", "--json", "x/3^9100")
+    assert (code, out, err) == (0, '{"element": null, "member": false}\n', "")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_member_past_the_print_limit_exits_0_from_the_command_line(json_flag):
+    proc = _run_module("member", "--seed", "1", *json_flag, "x/3^9100")
+    assert proc.returncode == 0
+    assert "false" in proc.stdout
+    assert "Traceback" not in proc.stderr
 
 
 def test_norm_file_integer_past_the_digit_limit_is_usage_error(capsys, tmp_path):
