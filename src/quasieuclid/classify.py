@@ -80,10 +80,13 @@ def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
     evidence of an exact zero only when the spec certifies it; pseudorandom
     digit streams never do.
 
-    Each prime costs one digit of tau first: h(tau_p) mod p.  tau_p mod
-    p^k_max is asked for only where that is 0, which is exact because a
-    spec's answers at different precisions agree, so a stream spec hashes
-    one digit, not k_max, at a prime that is not a hit.
+    The scan pays three costs.  Every prime costs one digit of tau:
+    h(tau_p) mod p.  A hit (where that is 0) that the spec certifies exact
+    costs nothing more, since an exact zero has depth k_max.  Any other hit
+    costs tau_p mod p^k_max (a Newton lift under a Hensel spec) and h
+    evaluated mod p^k_max.  Reading the depth from one deeper residue is
+    exact because a spec's answers at different precisions agree, so a
+    stream spec hashes one digit, not k_max, at a prime that is not a hit.
     """
     h = as_element(h)
     if h.is_zero:
@@ -102,6 +105,9 @@ def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
     for p in primes_upto(p_max):
         if _eval_mod(num, tau._tau(p, 1), p):
             continue
+        if tau.is_exact_root(num, p):
+            hits.append(PrimeHit(p, k_max, True, True))
+            continue
         val = _eval_mod(num, tau._tau(p, k_max), p**k_max)
         if val == 0:
             depth = k_max
@@ -110,7 +116,7 @@ def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
             while val % p == 0:
                 val //= p
                 depth += 1
-        hits.append(PrimeHit(p, depth, depth == k_max, tau.is_exact_root(num, p)))
+        hits.append(PrimeHit(p, depth, depth == k_max, False))
     return ShScan(h, p_max, k_max, tuple(hits))
 
 

@@ -161,9 +161,8 @@ def _cmd_member(ctx, args):
     try:
         text = _fmt(e)
     except ValueError:
-        if verdict:
-            raise
-        # named as NotMemberError names a non-member; no JSON can carry it
+        # named as NotMemberError names a non-member, whatever the verdict;
+        # no JSON can carry it
         text, e = _shown(e, "an element with an integer"), None
     return {"element": e, "member": verdict}, [f"{text}: {'true' if verdict else 'false'}"]
 

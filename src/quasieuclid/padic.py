@@ -558,9 +558,12 @@ class TauSpec(ABC):
         return value
 
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
-        """Whether this spec guarantees h(tau_p) = 0 exactly (all precisions).
+        """Whether this spec guarantees h(tau_p) = 0 in Z_p, so that
+        h(tau_p) = 0 mod p^k at every precision k.
 
-        Only structurally certain cases answer True; digit streams always
+        True is a promise that scan_sh relies on: it records depth k_max
+        at such a prime without asking for tau_p mod p^k_max.  Only
+        structurally certain cases answer True; digit streams always
         answer False even if every sampled digit happens to vanish.
         """
         return False
@@ -893,12 +896,21 @@ def hensel_lift(f: Sequence[int], p: int, root1: int, k: int) -> ResidueClass:
 
 def _newton(f: Sequence[int], deriv: Sequence[int], p: int, x: int, k: int) -> int:
     """The root of f mod p^k above the simple root x of f mod p, by Newton
-    iteration with doubling precision; deriv is f'.  Unchecked."""
+    iteration with doubling precision; deriv is f'.  Unchecked.
+
+    One modular inverse, y = 1/f'(x) mod p, is computed.  Each doubling
+    to p^prec steps x <- x - f(x) y, then refines y <- y (2 - f'(x) y),
+    which is 1/f'(x) mod p^prec again, ready for the next doubling (von
+    zur Gathen and Gerhard, Modern Computer Algebra, Alg. 9.22).
+    """
+    if k <= 1:  # a scan asks every prime for one digit: no inverse for it
+        return x % p**k
+    y = pow(_eval_mod(deriv, x, p), -1, p)
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)
         mod = p**prec
-        fx = _eval_mod(f, x, mod)
-        dfx = _eval_mod(deriv, x, mod)
-        x = (x - fx * pow(dfx, -1, mod)) % mod
+        x = (x - _eval_mod(f, x, mod) * y) % mod
+        if prec < k:  # the last step needs no inverse after it
+            y = y * (2 - _eval_mod(deriv, x, mod) * y) % mod
     return x % p**k

@@ -175,8 +175,9 @@ def test_scan_asks_for_k_max_digits_only_at_hits(make, k_max):
     zeros = [p for p in primes if poly_eval_mod(h, spec.inner, p, 1).value == 0]
     assert zeros and len(zeros) < len(primes)
     assert list(asked) == primes
-    for p in primes:  # one digit first; k_max digits only where h(tau_p) = 0 mod p
-        assert asked[p] == ([1, k_max] if p in zeros else [1]), p
+    exact = [p for p in zeros if spec.inner.is_exact_root(h, p)]
+    for p in primes:  # one digit first; k_max digits only at a hit not certified exact
+        assert asked[p] == ([1, k_max] if p in zeros and p not in exact else [1]), p
     assert list(scan.hit_primes()) == zeros
     assert [(hit.prime, hit.depth, hit.saturated, hit.exact) for hit in scan.hits] == _eager_scan(
         make(), h, 300, k_max
@@ -194,6 +195,35 @@ def test_lazy_scan_matches_the_eager_reference(kind, h, p_max, k_max):
     scan = scan_sh(RingContext(SCAN_SPECS[kind]()), RingElement(h), p_max, k_max)
     got = [(hit.prime, hit.depth, hit.saturated, hit.exact) for hit in scan.hits]
     assert got == _eager_scan(SCAN_SPECS[kind](), tuple(h), p_max, k_max)
+
+
+def test_certified_exact_hits_ask_for_one_digit_only():
+    # x^2 - 2 under its own Hensel spec: tau_p is a root of it wherever 2 is
+    # a square mod an odd p, that is at p = +-1 mod 8, so no lift is needed
+    spec = CountingTau(hensel((-2, 0, 1), constant(1)))
+    scan = scan_sh(RingContext(spec), X2_MINUS_2, 20000, classify.SCAN_K_MAX)
+    assert {k for _, k in spec.asked} == {1}
+    roots = tuple(p for p in primes_upto(20000) if p % 8 in (1, 7))
+    assert scan.saturated_primes() == scan.exact_primes() == scan.hit_primes() == roots
+    assert all(hit.depth == classify.SCAN_K_MAX for hit in scan.hits)
+
+
+# Factors that some spec of SCAN_SPECS has as an exact root at some prime.
+EXACT_FACTORS = [(1,), (0, 1), (-4, 1), (-2, 1), (-1, 1), (-3, 1), (-2, 0, 1), (-7, 0, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(SCAN_SPECS)),
+    st.sampled_from(EXACT_FACTORS),
+    st.lists(st.integers(-12, 12), min_size=1, max_size=3).filter(lambda g: g[-1] != 0),
+)
+def test_exact_root_is_a_zero_at_every_precision(kind, factor, g):
+    spec = SCAN_SPECS[kind]()
+    h = (RingElement(factor) * RingElement(tuple(g))).num
+    for p in primes_upto(60):
+        if spec.is_exact_root(h, p):
+            assert poly_eval_mod(h, spec, p, 64).value == 0, p
 
 
 # -- exact flags from one divisibility test per h -------------------------------------

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from quasieuclid import RingElement, hensel_lift, parse_element, stream
+from quasieuclid import RingElement, hensel_lift, parse_element, stream, zero
 from quasieuclid.cli import main
 from quasieuclid.ring import RingContext
 
@@ -497,7 +497,7 @@ def test_printed_sparse_quotient_reads_back(capsys):
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 def test_result_past_the_digit_limit_is_one_error_line(json_flag):
-    proc = _run_module("member", *json_flag, "2^20000")
+    proc = _run_module("divmod", *json_flag, "2^20000", "3")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
@@ -516,6 +516,17 @@ def test_member_gives_a_non_member_verdict_past_the_print_limit(capsys):
     assert out == f"an element with an integer of more than {limit} decimal digits: false\n"
     code, out, err = run_cli(capsys, "member", "--seed", "1", "--json", "x/3^9100")
     assert (code, out, err) == (0, '{"element": null, "member": false}\n', "")
+
+
+def test_member_gives_a_member_verdict_past_the_print_limit(capsys):
+    e = parse_element("2^20000")
+    assert RingContext(zero()).is_member(e) is True
+    code, out, err = run_cli(capsys, "member", "2^20000")
+    limit = sys.get_int_max_str_digits()
+    assert (code, err) == (0, "")
+    assert out == f"an element with an integer of more than {limit} decimal digits: true\n"
+    code, out, err = run_cli(capsys, "member", "--json", "2^20000")
+    assert (code, out, err) == (0, '{"element": null, "member": true}\n', "")
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from decimal import ROUND_CEILING, Context
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quasieuclid import (
@@ -413,6 +413,47 @@ def test_hensel_lift_correctness(p, k, data):
     lifted = hensel_lift(f, p, root, k)
     assert (lifted.value**2 - 2) % p**k == 0
     assert lifted.reduce(1).value == root % p
+
+
+def _newton_reference(f, deriv, p, x, k):
+    """Newton's lift as it ran before, with a modular inverse at every doubling."""
+    prec = 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        mod = p**prec
+        fx = padic._eval_mod(f, x, mod)
+        x = (x - fx * pow(padic._eval_mod(deriv, x, mod), -1, mod)) % mod
+    return x % p**k
+
+
+NEWTON_PRIMES = SMALL_PRIMES + [p for p in primes_upto(20100) if p > 19900]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(NEWTON_PRIMES),
+    st.integers(0, 10**6),
+    st.lists(st.integers(-50, 50), min_size=2, max_size=4).filter(lambda g: g[-1] != 0),
+    st.lists(st.integers(-50, 50), min_size=0, max_size=5),
+    st.integers(1, 200),
+)
+def test_newton_matches_the_inverse_at_every_doubling(p, r, g, c, k):
+    # f = (x - r) g + p c has the root r mod p, simple where g(r) != 0 mod p
+    r %= p
+    assume(padic._eval_mod(g, r, p))
+    f = [0] * max(len(g) + 1, len(c))
+    for i, a in enumerate(g):
+        f[i] -= r * a
+        f[i + 1] += a
+    for i, a in enumerate(c):
+        f[i] += p * a
+    while f and f[-1] == 0:
+        f.pop()
+    assume(3 <= len(f) <= 5)
+    deriv = padic._derivative(f)
+    got = padic._newton(f, deriv, p, r, k)
+    assert got == _newton_reference(f, deriv, p, r, k)
+    assert got % p == r and padic._eval_mod(f, got, p**k) == 0
 
 
 # -- crt ----------------------------------------------------------------------
