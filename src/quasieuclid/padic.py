@@ -25,10 +25,13 @@ BudgetExceeded, which is a ValueError) instead of running on.  is_prime is
 exact below 3.3e24 and BPSW-probable above, and factorize trusts it on
 every cofactor.
 
-Residues are memoized in one dict per spec instance.  Cached values are
-deterministic functions of (p, k), so concurrent readers may share a spec:
-a racing write stores the same value, and CPython dict operations are atomic
-under the GIL.
+Residues are memoized in two bounded lru_caches shared by every spec:
+TauSpec._tau keyed by (spec, p, k) and HenselTau._simple_root by (spec, p).
+A scan touches each prime once, so only recent entries are read again.  A
+key holds its spec alive and specs hash by identity, so an entry never
+answers for a later spec.  Cached values are deterministic functions of
+their key and lru_cache is thread-safe, so concurrent readers may share a
+spec.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ def primes_upto(limit: int) -> list[int]:
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+            sieve[i * i :: i] = bytes((limit - i * i) // i + 1)
     return list(itertools.compress(range(limit + 1), sieve))
 
 
@@ -512,15 +515,12 @@ class TauSpec(ABC):
 
     query(p, k) returns tau_p mod p^k; answers at different precisions of
     the same spec always agree (deeper queries refine shallower ones).
-    Subclasses compute a residue in _residue; _tau memoizes it in _cache,
-    the spec's only cache of residues.
+    Subclasses compute a residue in _residue; _tau memoizes it in one
+    bounded cache shared by every spec.
     """
 
     kind: str = ""
     _fields: tuple[str, ...] = ()  # JSON fields besides "kind", in constructor order
-
-    def __init__(self) -> None:
-        self._cache: dict[tuple[int, int], int] = {}
 
     def query(self, p: int, k: int) -> ResidueClass:
         """tau_p mod p^k as a ResidueClass; memoized."""
@@ -530,15 +530,11 @@ class TauSpec(ABC):
             raise ValueError("precision must be non-negative")
         return ResidueClass(p, k, self._tau(p, k))
 
+    # reads come back to the primes of recent denominators; the key holds its spec alive
+    @lru_cache(maxsize=1024)
     def _tau(self, p: int, k: int) -> int:
         """tau_p mod p^k for a prime p and k >= 0, unchecked; memoized."""
-        if k == 0:
-            return 0
-        v = self._cache.get((p, k))
-        if v is None:
-            v = self._residue(p, k)
-            self._cache[p, k] = v
-        return v
+        return self._residue(p, k) if k else 0
 
     @abstractmethod
     def _residue(self, p: int, k: int) -> int:
@@ -598,7 +594,6 @@ class ConstantTau(TauSpec):
     _fields = ("value",)
 
     def __init__(self, value: int) -> None:
-        super().__init__()
         self.value = _exact_int("value", value)
 
     def _residue(self, p: int, k: int) -> int:
@@ -632,7 +627,6 @@ class StreamTau(TauSpec):
     _fields = ("seed",)
 
     def __init__(self, seed: int) -> None:
-        super().__init__()
         self.seed = _exact_int("seed", seed)
 
     def _digit(self, p: int, i: int) -> int:
@@ -703,29 +697,27 @@ class HenselTau(TauSpec):
     quadratic f costs one Tonelli-Shanks square root, a few integer powers
     mod p; a higher degree costs polynomial powers mod f of O(d^2 log p)
     operations each, and a power near p = 10^9 takes about 30 squarings.  A
-    residue is the Newton lift of that root, or the fallback's residue from
-    the fallback's own memo, both as plain ints.  Whether f divides a given
-    h, the test behind is_exact_root, is decided once per (f, h) pair by
-    _divides.
+    residue is the Newton lift of that root, or the fallback's residue, both
+    as plain ints.  The root at p is memoized in _simple_root and the
+    residue in TauSpec._tau, both bounded.  Whether f divides a given h, the
+    test behind is_exact_root, is decided once per (f, h) pair by _divides.
     """
 
     kind = "hensel"
     _fields = ("poly", "fallback")
 
     def __init__(self, poly: Sequence[int], fallback: TauSpec) -> None:
-        super().__init__()
         self.poly = tuple(poly)
         if any(type(c) is not int for c in self.poly):
             raise ValueError(f"hensel 'poly' must be a list of integers, got {poly!r}")
         self.fallback = fallback
         self._deriv = _derivative(self.poly)
-        self._roots: dict[int, int | None] = {}
 
+    # read again only at the prime just computed; the key holds its spec alive
+    @lru_cache(maxsize=256)
     def _simple_root(self, p: int) -> int | None:
-        if p not in self._roots:
-            simple = (r for r in _roots_mod(self.poly, p) if _eval_mod(self._deriv, r, p))
-            self._roots[p] = min(simple, default=None)
-        return self._roots[p]
+        simple = (r for r in _roots_mod(self.poly, p) if _eval_mod(self._deriv, r, p))
+        return min(simple, default=None)
 
     def _residue(self, p: int, k: int) -> int:
         root = self._simple_root(p)
@@ -775,7 +767,6 @@ class PiecewiseTau(_SplitTau):
     _fields = ("overrides", "default")
 
     def __init__(self, overrides: Mapping[int, TauSpec], default: TauSpec) -> None:
-        super().__init__()
         for p in overrides:
             if not is_prime(p):
                 raise ValueError(f"override key {p} is not prime")
@@ -810,7 +801,6 @@ class PredicateTau(_SplitTau):
         when_true: TauSpec,
         otherwise: TauSpec,
     ) -> None:
-        super().__init__()
         self.test = test
         self.when_true = when_true
         self.otherwise = otherwise

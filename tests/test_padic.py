@@ -27,6 +27,7 @@ from quasieuclid import (
     piecewise,
     poly_eval_mod,
     primes_upto,
+    scan_sh,
     stream,
     tau_from_json,
     zero,
@@ -54,6 +55,15 @@ def spec_strategy():
 
 
 # -- primes and factoring ---------------------------------------------------
+
+
+def test_primes_upto_against_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    reference = [n for n in range(10**4 + 1) if trial(n)]
+    for limit in (0, 1, 2, 3, 4, 48, 49, 50, 120, 121, 9973, 10**4):
+        assert primes_upto(limit) == [p for p in reference if p <= limit], limit
 
 
 def test_is_prime_against_sieve():
@@ -252,8 +262,9 @@ def test_query_validates_arguments():
 def test_query_deterministic_and_memoized():
     spec = stream(42)
     first = spec.query(7, 5)
+    hits = padic.TauSpec._tau.cache_info().hits
     assert spec.query(7, 5) == first
-    assert spec._cache[(7, 5)] == first.value
+    assert padic.TauSpec._tau.cache_info().hits == hits + 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -345,6 +356,28 @@ def test_concurrent_queries_agree():
         results = list(pool.map(lambda pk: (pk, spec.query(*pk).value), grid * 4))
     for pk, value in results:
         assert value == expected[pk]
+
+
+# -- the residue memo ---------------------------------------------------------------
+
+
+def test_residue_memos_stay_bounded_over_a_long_scan():
+    tau, root = padic.TauSpec._tau, padic.HenselTau._simple_root
+    tau.cache_clear()
+    scan_sh(RingContext(stream(1)), RingElement((1, 0, 1)), 20000, 8)  # 2,262 primes
+    assert tau.cache_info().maxsize is not None
+    assert tau.cache_info().currsize == tau.cache_info().maxsize < tau.cache_info().misses
+    root.cache_clear()
+    scan_sh(RingContext(hensel((-2, 0, 1), constant(1))), RingElement((1, 0, 1)), 20000, 8)
+    assert root.cache_info().maxsize is not None
+    assert root.cache_info().currsize == root.cache_info().maxsize < root.cache_info().misses
+
+
+def test_a_dropped_spec_never_answers_for_a_new_one():
+    # the memo is keyed by spec identity; its entry keeps the spec alive, so
+    # a new spec never reuses the id of one that answered before
+    for z in range(1, 50):
+        assert constant(z).query(7, 3).value == z
 
 
 # -- polynomial evaluation ------------------------------------------------------

@@ -25,10 +25,12 @@ from quasieuclid import (
     factorize,
     hensel,
     log_generic,
+    padic,
     phi,
     piecewise,
     poly_eval_mod,
     qdiv,
+    scan_sh,
     stream,
     zero,
 )
@@ -197,6 +199,24 @@ ALL_TAU_KINDS = TAUS + [
     hensel((-2, 0, 1), constant(1)),
     piecewise({2: zero(), 3: constant(1)}, stream(3)),
 ]
+
+
+@pytest.mark.parametrize("tau", ALL_TAU_KINDS, ids=repr)
+def test_answers_do_not_depend_on_the_residue_memo(tau):
+    h, n = (3, -1, 0, 2), 2**3 * 3**2 * 5 * 7**3 * 101 * 10007
+
+    def answers():
+        return tau.eval_mod(h, n), scan_sh(RingContext(tau), RingElement((1, 0, 1)), 500, 6).hits
+
+    def clear():
+        padic.TauSpec._tau.cache_clear()
+        padic.HenselTau._simple_root.cache_clear()
+
+    clear()
+    cold = answers()
+    warm = answers()
+    clear()
+    assert answers() == cold == warm
 
 
 def _flip_divmod(ctx, q, r):
