@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Every subcommand has a plain-text rendering and a JSON twin (--json) with
-the same numeric content.  Exit codes: 0 success, 1 domain error (reported
-as an error object in JSON mode), 2 usage error.
+Each subcommand's parser carries its handler, which main calls.  Every
+subcommand has a plain-text rendering and a JSON twin (--json) with the same
+numeric content.  Exit codes: 0 success, 1 domain error (reported as an
+error object in JSON mode), 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import classify as cl
 from .padic import TauSpec, stream, tau_from_json, zero
 from .poly import RingElement, _json
 from .poly import format_element as _fmt
-from .ring import CHAIN_STEPS_MAX, NotMemberError, RingContext, _shown, phi
+from .ring import CHAIN_STEPS_MAX, RingContext, _shown, phi
 from .syntax import ParseError, _int_literal, parse_element
 
 
@@ -41,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tau-file", help="path to a tau spec JSON file")
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument(
-        "--seed", type=int, help="use a seeded stream spec when --tau is not given"
+        "--seed", type=int, help="use a seeded stream spec instead of --tau or --tau-file"
     )
 
     top = argparse.ArgumentParser(
@@ -49,35 +50,39 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic in subrings of Q[x] cut out by p-adic residue conditions.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    add = functools.partial(sub.add_parser, parents=[common], epilog=_EPILOG)
 
-    p = add("member", help="test ring membership")
+    def add(name, handler, help):
+        p = sub.add_parser(name, parents=[common], epilog=_EPILOG, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = add("member", _cmd_member, "test ring membership")
     p.add_argument("element")
 
-    p = add("divmod", help="division with remainder")
+    p = add("divmod", _cmd_divmod, "division with remainder")
     p.add_argument("dividend")
     p.add_argument("divisor")
 
-    p = add("gcd", help="gcd with Bezout coefficients")
+    p = add("gcd", _cmd_gcd, "gcd with Bezout coefficients")
     p.add_argument("a")
     p.add_argument("b")
 
-    p = add("chain", help="canonical division chain with norm trace")
+    p = add("chain", _cmd_chain, "canonical division chain with norm trace")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--max-steps", type=int, default=CHAIN_STEPS_MAX)
 
-    p = add("normalize", help="rewrite a chain to positive quotients")
+    p = add("normalize", _cmd_normalize, "rewrite a chain to positive quotients")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("quotients", nargs="+")
 
-    p = add("compare", help="compare a chain against the canonical one")
+    p = add("compare", _cmd_compare, "compare a chain against the canonical one")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("quotients", nargs="+")
 
-    p = add("adversary", help="degree-retaining pair and its report")
+    p = add("adversary", _cmd_adversary, "degree-retaining pair and its report")
     p.add_argument("k", type=int)
     p.add_argument("b")
     p.add_argument(
@@ -85,18 +90,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="JSON norm table {element: value}; walks the descent it cannot sustain",
     )
 
-    p = add("scan", help="residue-zero scan over a prime box")
+    p = add("scan", _cmd_scan, "residue-zero scan over a prime box")
     p.add_argument("h")
     p.add_argument("--pmax", type=int, default=50)
     p.add_argument("--kmax", type=int, default=8)
 
-    p = add("witness", help="descending divisibility chain below h")
+    p = add("witness", _cmd_witness, "descending divisibility chain below h")
     p.add_argument("h")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--pmax", type=int, default=50)
     p.add_argument("--kmax", type=int, default=8)
 
-    p = add("tau", help="inspect tau_p at one prime and precision")
+    p = add("tau", _cmd_tau, "inspect tau_p at one prime and precision")
     p.add_argument("p", type=int)
     p.add_argument("k", type=int)
 
@@ -104,9 +109,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_tau(args) -> TauSpec:
-    if args.tau and args.tau_file:
-        raise UsageError("--tau and --tau-file are mutually exclusive")
-    if args.tau_file:
+    flags = {"--tau": args.tau, "--tau-file": args.tau_file, "--seed": args.seed}
+    given = [flag for flag, value in flags.items() if value is not None]
+    if len(given) > 1:
+        raise UsageError(f"{' and '.join(given)} are mutually exclusive")
+    if args.tau_file is not None:
         data = _read_json(args.tau_file, "cannot read tau file", "bad tau spec")
     elif args.tau is not None:
         data = _decode_json(args.tau, "bad tau spec")
@@ -280,7 +287,7 @@ def _norm_descent_demo(ctx, args, report) -> tuple[dict, list[str]]:
 
 
 def _cmd_adversary(ctx, args):
-    b = ctx.make_element(_parse(args.b))
+    b = _parse(args.b)
     a = adv.adversarial_pair(ctx, args.k, b)
     report = adv.degree_retention_check(ctx, args.k, a, b)
     lines = [
@@ -326,24 +333,10 @@ def _cmd_witness(ctx, args):
 
 def _cmd_tau(ctx, args):
     r = ctx.tau.query(args.p, args.k)
+    value = str(r.value)  # past the print limit this raises before digits() does its work
     digits = list(r.digits())
     payload = {"p": r.prime, "k": r.precision, "value": r.value, "digits": digits}
-    lines = [f"tau_{args.p} mod {args.p}^{args.k} = {r.value} (digits {digits})"]
-    return payload, lines
-
-
-_HANDLERS = {
-    "member": _cmd_member,
-    "divmod": _cmd_divmod,
-    "gcd": _cmd_gcd,
-    "chain": _cmd_chain,
-    "normalize": _cmd_normalize,
-    "compare": _cmd_compare,
-    "adversary": _cmd_adversary,
-    "scan": _cmd_scan,
-    "witness": _cmd_witness,
-    "tau": _cmd_tau,
-}
+    return payload, [f"tau_{args.p} mod {args.p}^{args.k} = {value} (digits {digits})"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -352,12 +345,12 @@ def main(argv: list[str] | None = None) -> int:
     json_mode = getattr(args, "json", False)
     try:
         ctx = RingContext(_load_tau(args))
-        payload, lines = _HANDLERS[args.command](ctx, args)
+        payload, lines = args.handler(ctx, args)
         text = json.dumps(payload, sort_keys=True, default=_json) if json_mode else None
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotMemberError, ZeroDivisionError, ValueError) as exc:
+    except (ZeroDivisionError, ValueError) as exc:
         if _DIGIT_LIMIT_TEXT in str(exc):
             # the input was checked against the limit, so an output int is
             # too long to print; no JSON can carry it either

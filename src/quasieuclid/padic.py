@@ -27,11 +27,14 @@ every cofactor.
 
 Residues are memoized in two bounded lru_caches shared by every spec:
 TauSpec._tau keyed by (spec, p, k) and HenselTau._simple_root by (spec, p).
-A scan touches each prime once, so only recent entries are read again.  A
-key holds its spec alive and specs hash by identity, so an entry never
-answers for a later spec.  Cached values are deterministic functions of
-their key and lru_cache is thread-safe, so concurrent readers may share a
-spec.
+Consumers (query, eval_mod, classify.scan_sh) read _tau.  A spec implements
+the uncached _residue, called with k >= 1; a composite spec returns the
+_residue of the spec it picks, so each residue is stored once, under the
+spec the caller asked for.  A scan touches each prime once, so only recent
+entries are read again.  A key holds its spec alive and specs hash by
+identity, so an entry never answers for a later spec.  Cached values are
+deterministic functions of their key and lru_cache is thread-safe, so
+concurrent readers may share a spec.
 """
 
 from __future__ import annotations
@@ -515,8 +518,8 @@ class TauSpec(ABC):
 
     query(p, k) returns tau_p mod p^k; answers at different precisions of
     the same spec always agree (deeper queries refine shallower ones).
-    Subclasses compute a residue in _residue; _tau memoizes it in one
-    bounded cache shared by every spec.
+    Consumers read _tau, which memoizes in one bounded cache shared by
+    every spec; subclasses implement the uncached _residue.
     """
 
     kind: str = ""
@@ -538,7 +541,8 @@ class TauSpec(ABC):
 
     @abstractmethod
     def _residue(self, p: int, k: int) -> int:
-        """Value of tau_p mod p^k, 0 <= value < p^k."""
+        """Value of tau_p mod p^k, 0 <= value < p^k, for k >= 1; uncached,
+        called only by _tau or by a composite spec's _residue."""
 
     def eval_mod(self, h: Sequence[int], n: int) -> int:
         """h(tau) mod n for n >= 1: the value in [0, n) congruent to
@@ -697,7 +701,7 @@ class HenselTau(TauSpec):
     quadratic f costs one Tonelli-Shanks square root, a few integer powers
     mod p; a higher degree costs polynomial powers mod f of O(d^2 log p)
     operations each, and a power near p = 10^9 takes about 30 squarings.  A
-    residue is the Newton lift of that root, or the fallback's residue, both
+    residue is the Newton lift of that root, or the fallback's _residue, both
     as plain ints.  The root at p is memoized in _simple_root and the
     residue in TauSpec._tau, both bounded.  Whether f divides a given h, the
     test behind is_exact_root, is decided once per (f, h) pair by _divides.
@@ -722,7 +726,7 @@ class HenselTau(TauSpec):
     def _residue(self, p: int, k: int) -> int:
         root = self._simple_root(p)
         if root is None:
-            return self.fallback._tau(p, k)
+            return self.fallback._residue(p, k)
         return _newton(self.poly, self._deriv, p, root, k)
 
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
@@ -747,14 +751,15 @@ def _divides(f: tuple[int, ...], h: tuple[int, ...]) -> bool:
 
 
 class _SplitTau(TauSpec):
-    """A spec that delegates each prime to the spec chosen by _pick."""
+    """A spec that delegates each prime to the spec chosen by _pick, whose
+    _residue it returns: the residue is memoized under this spec alone."""
 
     @abstractmethod
     def _pick(self, p: int) -> TauSpec:
         """The spec that answers for the prime p."""
 
     def _residue(self, p: int, k: int) -> int:
-        return self._pick(p)._tau(p, k)
+        return self._pick(p)._residue(p, k)
 
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
         return self._pick(p).is_exact_root(h, p)

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from quasieuclid import RingElement, hensel_lift, parse_element, stream, zero
+from quasieuclid import RingElement, ResidueClass, hensel_lift, parse_element, stream, zero
+from quasieuclid import adversary as adv
 from quasieuclid.cli import main
 from quasieuclid.ring import RingContext
 
@@ -114,6 +115,27 @@ def test_adversary_text(capsys):
     assert "verdict: true" in out
 
 
+@pytest.mark.parametrize(
+    "b, message",
+    [("x/2", "x/2 is not in the ring"), ("1/2", "b must have degree at least 1")],
+    ids=["non_constant", "constant"],
+)
+def test_adversary_b_is_checked_by_the_library(capsys, monkeypatch, b, message):
+    seen = []
+    pair = adv.adversarial_pair
+
+    def recording(ctx, k, b):
+        seen.append(b)
+        return pair(ctx, k, b)
+
+    monkeypatch.setattr(adv, "adversarial_pair", recording)
+    code, out, err = run_cli(capsys, "adversary", "--tau", ONE_TAU, "2", b)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+    assert seen == [parse_element(b)]
+
+
 def test_scan_text(capsys):
     tau = '{"kind":"hensel","poly":[-2,0,1],"fallback":{"kind":"constant","value":1}}'
     code, out, _ = run_cli(capsys, "scan", "--tau", tau, "x^2 - 2")
@@ -143,6 +165,17 @@ def test_tau_inspection(capsys):
     assert "tau_5 mod 5^2 = 7" in out
 
 
+def test_tau_past_the_print_limit_fails_before_splitting_digits(capsys, monkeypatch):
+    def digits(self):
+        raise AssertionError("digits() ran on a value that cannot be printed")
+
+    monkeypatch.setattr(ResidueClass, "digits", digits)
+    code, out, err = run_cli(capsys, "tau", "--seed", "1", "7", "6000")  # 5,071 digits
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "more than 4300 decimal digits" in err
+
+
 # -- flags and errors ----------------------------------------------------------
 
 
@@ -163,6 +196,25 @@ def test_usage_error_conflicting_tau_sources(capsys, tmp_path):
     path.write_text(ZERO_TAU)
     code, _, err = run_cli(capsys, "member", "--tau", ZERO_TAU, "--tau-file", str(path), "x")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--seed", "5", "--tau", '{"kind":"zero"}'), ("--tau", "--seed")),
+        (("--seed", "5", "--tau-file", "TAU_FILE"), ("--tau-file", "--seed")),
+        (("--tau", "", "--tau-file", "TAU_FILE"), ("--tau", "--tau-file")),
+    ],
+    ids=["seed_and_tau", "seed_and_tau_file", "empty_tau_and_tau_file"],
+)
+def test_any_two_tau_sources_are_a_usage_error(capsys, tmp_path, flags, named):
+    path = tmp_path / "tau.json"
+    path.write_text(ZERO_TAU)
+    argv = [str(path) if f == "TAU_FILE" else f for f in flags]
+    code, out, err = run_cli(capsys, "tau", *argv, "7", "3")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and all(flag in err for flag in named)
 
 
 def test_tau_file(capsys, tmp_path):

@@ -23,6 +23,7 @@ from quasieuclid import (
     hensel_lift,
     is_prime,
     log_generic,
+    make_zero_on,
     padic,
     piecewise,
     poly_eval_mod,
@@ -359,6 +360,39 @@ def test_concurrent_queries_agree():
 
 
 # -- the residue memo ---------------------------------------------------------------
+
+
+def _picked(spec, p):
+    """The leaf spec whose residue spec hands over at p; a leaf picks itself."""
+    if isinstance(spec, padic._SplitTau):
+        return _picked(spec._pick(p), p)
+    if isinstance(spec, padic.HenselTau) and spec._simple_root(p) is None:
+        return _picked(spec.fallback, p)
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_strategy(), st.sampled_from(SMALL_PRIMES), st.integers(1, 6))
+def test_a_spec_answers_as_its_pick_under_one_memo_entry(spec, p, k):
+    padic.TauSpec._tau.cache_clear()
+    got = spec.query(p, k)
+    assert padic.TauSpec._tau.cache_info().currsize == 1
+    assert got == _picked(spec, p).query(p, k)
+
+
+@pytest.mark.parametrize(
+    "spec, p",
+    [
+        (piecewise({2: zero()}, stream(3)), 11),
+        (make_zero_on(lambda p: p == 2, stream(3)), 11),
+        (hensel((1, 0, 1), constant(1)), 3),  # x^2 + 1 has no root mod 3
+    ],
+    ids=["piecewise", "predicate", "hensel_fallback"],
+)
+def test_a_composite_spec_stores_its_residue_once(spec, p):
+    padic.TauSpec._tau.cache_clear()
+    spec.query(p, 4)
+    assert padic.TauSpec._tau.cache_info().currsize == 1
 
 
 def test_residue_memos_stay_bounded_over_a_long_scan():
