@@ -62,11 +62,12 @@ class ShScan(_Record):
 # (10 MB), and SCAN_K_MAX bounds the digits of tau_p asked for at each hit prime.
 SCAN_P_MAX = 10**7
 SCAN_K_MAX = 1000
-# The deepest witness chain.  Its elements hold denominators up to p^depth,
-# so building them costs time and memory quadratic in depth, and past the
-# interpreter's 4300-digit limit they cannot be printed.  At depth 1000 that
-# limit is first met at p > 19,952, and the CLI's `witness x --depth 1000`
-# (p = 2) takes 0.3 s.
+# The deepest witness chain.  It guards the output, not the work: building a
+# chain of depth 1000 factors nothing and takes 3 ms at p = 2, 5 ms at
+# p = 100,003.  Its denominators grow to p^depth, so the printed chain grows
+# quadratically in depth (156 KB of text at depth 1000 and p = 2), and past
+# the interpreter's 4300-digit limit it cannot be printed: at depth 1000 that
+# limit is first met at p > 19,952, where the CLI exits 1 with one line.
 WITNESS_DEPTH_MAX = 1000
 
 
@@ -140,19 +141,19 @@ def non_ufd_witness(
     k_max: int = 8,
 ) -> NonUfdWitness | None:
     """Search the scan box for a descending divisibility chain of the given
-    depth below h.
+    depth below h, a nonzero integer polynomial (scan_sh checks it).
 
     A certified exact zero at some prime yields the prime-power chain at
     the smallest such prime; failing that, depth-many distinct hit primes
     yield the distinct-primes chain.  Returns None when neither pattern is
     present, which is inconclusive by design.  A depth past
     WITNESS_DEPTH_MAX raises BudgetExceeded before the scan.
+
+    Membership of each element comes from the scan, not from factoring its
+    denominator: an exact zero h(tau_p) = 0 in Z_p puts every h/p^j in the
+    ring, and a hit at each of distinct primes puts h over their product
+    in it by CRT.
     """
-    h = as_element(h)
-    if h.is_zero:
-        raise ValueError("witness requires h != 0")
-    if h.den != 1:
-        raise ValueError("witness requires an integer polynomial")
     if depth < 2:
         raise ValueError("depth must be at least 2")
     if depth > WITNESS_DEPTH_MAX:
@@ -160,19 +161,17 @@ def non_ufd_witness(
     scan = scan_sh(ctx, h, p_max, k_max)
     exact = scan.exact_primes()
     if exact:
-        p = exact[0]
-        chain = tuple(ctx.make_element(h.num, p**j) for j in range(1, depth + 1))
-        return NonUfdWitness(h, "prime_power", (p,), chain)
-    hit = scan.hit_primes()
-    if len(hit) >= depth:
-        primes = hit[:depth]
-        chain = []
-        product = 1
-        for p in primes:
-            product *= p
-            chain.append(ctx.make_element(h.num, product))
-        return NonUfdWitness(h, "distinct_primes", primes, tuple(chain))
-    return None
+        kind, primes, steps = "prime_power", exact[:1], exact[:1] * depth
+    else:
+        kind = "distinct_primes"
+        primes = steps = scan.hit_primes()[:depth]
+    if len(steps) < depth:
+        return None
+    chain, n = [], 1
+    for p in steps:
+        n *= p
+        chain.append(RingElement(scan.h.num, n))
+    return NonUfdWitness(scan.h, kind, primes, tuple(chain))
 
 
 def make_zero_on(

@@ -3,7 +3,7 @@
 Each subcommand's parser carries its handler, which main calls.  Every
 subcommand has a plain-text rendering and a JSON twin (--json) with the same
 numeric content.  Exit codes: 0 success, 1 domain error (reported as an
-error object in JSON mode), 2 usage error.
+error object in JSON mode) or stdout closed by its reader, 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import adversary as adv
@@ -340,6 +341,18 @@ def _cmd_tau(ctx, args):
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point it at os.devnull
+        # so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     json_mode = getattr(args, "json", False)

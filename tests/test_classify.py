@@ -357,6 +357,77 @@ def test_witness_for_negative_leading_coefficient():
         assert not ctx.divides(bigger, smaller)
 
 
+def _count_factorize(monkeypatch):
+    """Record every padic.factorize call; make_element must not be reached."""
+    calls = []
+    real = padic.factorize
+    monkeypatch.setattr(padic, "factorize", lambda n: calls.append(n) or real(n))
+
+    def no_make_element(*args, **kwargs):
+        raise AssertionError("a witness element was validated again")
+
+    monkeypatch.setattr(RingContext, "make_element", no_make_element)
+    return calls
+
+
+def test_prime_power_witness_at_a_large_prime_factors_nothing(monkeypatch):
+    spec = piecewise({100003: zero()}, stream(1))
+    ctx = RingContext(spec)
+    calls = _count_factorize(monkeypatch)
+    witness = non_ufd_witness(ctx, X, 200, p_max=100003, k_max=2)
+    assert calls == []
+    assert witness.kind == "prime_power" and witness.primes == (100003,)
+    assert [e.den for e in witness.chain] == [100003**j for j in range(1, 201)]
+    assert all(e.num == X.num for e in witness.chain)
+    # x/p^200 is a member exactly when tau_p = 0 mod p^200; the rest follow
+    assert poly_eval_mod(X.num, spec, 100003, 200).value == 0
+
+
+def test_distinct_primes_witness_over_large_primes_factors_nothing(monkeypatch):
+    # tau_p = p puts x/p in the ring at each override, but certifies no exact root
+    primes = [p for p in primes_upto(110000) if p > 10**5][:200]
+    spec = piecewise({p: constant(p) for p in primes}, constant(1))
+    ctx = RingContext(spec)
+    calls = _count_factorize(monkeypatch)
+    witness = non_ufd_witness(ctx, X, 100, p_max=primes[-1], k_max=2)
+    assert calls == []
+    assert witness.kind == "distinct_primes" and witness.primes == tuple(primes[:100])
+    assert witness.chain[-1] == RingElement((0, 1), math.prod(primes[:100]))
+    # by CRT, x over the product is a member exactly when tau_p = 0 mod p at each p
+    assert all(poly_eval_mod(X.num, spec, p, 1).value == 0 for p in primes[:100])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(SCAN_SPECS)),
+    st.sampled_from(EXACT_FACTORS),
+    st.lists(st.integers(-12, 12), min_size=1, max_size=3).filter(lambda g: g[-1] != 0),
+    st.integers(2, 200),
+    st.sampled_from([1, 2, 8]),
+    st.integers(2, 6),
+)
+def test_witness_is_read_off_its_scan(kind, factor, g, p_max, k_max, depth):
+    ctx = RingContext(SCAN_SPECS[kind]())
+    h = RingElement(factor) * RingElement(tuple(g))
+    witness = non_ufd_witness(ctx, h, depth, p_max=p_max, k_max=k_max)
+    scan = scan_sh(RingContext(SCAN_SPECS[kind]()), h, p_max, k_max)
+    exact = [hit.prime for hit in scan.hits if hit.exact]
+    primes = exact[:1] * depth if exact else [hit.prime for hit in scan.hits][:depth]
+    if len(primes) < depth:
+        assert witness is None
+        return
+    dens = [math.prod(primes[:j]) for j in range(1, depth + 1)]
+    assert witness.chain == tuple(RingElement(h.num, n) for n in dens)
+    assert witness.kind == ("prime_power" if exact else "distinct_primes")
+    assert witness.primes == (tuple(exact[:1]) or tuple(primes))
+    # the membership the library takes from the scan, checked by factoring
+    seq = [h, *witness.chain]
+    for bigger, smaller in zip(seq, seq[1:]):
+        assert ctx.is_member(smaller)
+        assert ctx.divides(smaller, bigger)
+        assert not ctx.divides(bigger, smaller)
+
+
 # -- spec constructors -------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -447,6 +448,26 @@ def test_factoring_budget_exits_1_without_traceback():
     assert proc.stderr.count("\n") == 1
     assert "rho iterations" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_reader_closing_the_pipe_early_is_exit_1_without_traceback(flags):
+    # tau_7 = 3 mod 7^100000 prints 100,000 digits, far more than a pipe holds
+    read_end, write_end = os.pipe()
+    with subprocess.Popen(
+        [sys.executable, "-m", "quasieuclid", "tau", *flags, "--tau", '{"kind":"constant","value":3}', "7", "100000"],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        os.close(write_end)
+        head = os.read(read_end, 10)
+        os.close(read_end)
+        err = proc.stderr.read()
+        assert proc.wait(timeout=10) == 1
+    assert head
+    assert err.count("\n") <= 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 HENSEL_X2_MINUS_2 = '{"kind":"hensel","poly":[-2,0,1],"fallback":{"kind":"constant","value":1}}'
