@@ -72,9 +72,11 @@ def _member_mod(ctx: RingContext, b: RingElement, d: int) -> int:
 
 
 def adversarial_pair(ctx: RingContext, k: int, b: RingElement) -> RingElement:
-    """a = (c/d)(b - beta) for the stage budget k; a is verified to be a
-    ring member.  Negative b is handled by negating, constructing, and
-    negating back.  k past ADVERSARY_K_MAX raises BudgetExceeded."""
+    """a = (c/d)(b - beta) for the stage budget k.  b is checked to be a
+    ring member; a is one without a check, since beta makes (b - beta)/d a
+    member and c is an integer.  Negative b is handled by negating,
+    constructing, and negating back.  k past ADVERSARY_K_MAX raises
+    BudgetExceeded."""
     _check_k(k)
     b = as_element(b)
     if b.degree < 1:
@@ -84,9 +86,7 @@ def adversarial_pair(ctx: RingContext, k: int, b: RingElement) -> RingElement:
     ctx.make_element(b)
     c, d = fib_pair_for(k)
     beta = _member_mod(ctx, b, d)
-    a = RingElement((c,), d) * (b - beta)
-    ctx.make_element(a)
-    return a
+    return RingElement((c,), d) * (b - beta)
 
 
 def degree_retention_check(ctx: RingContext, k: int, a: RingElement, b: RingElement) -> AdversaryReport:

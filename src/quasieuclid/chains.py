@@ -155,9 +155,12 @@ def normalize_steps(c: DivisionChain) -> Iterator[tuple[str, DivisionChain]]:
     """Yield ("t1"|"t2", chain) rewrite steps until the tail is positive.
 
     Zero quotients are removed before negative ones: t2 is tried before t1,
-    and the walk stops when both return the chain unchanged.
+    and the walk stops when both return the chain unchanged.  Each t1 lowers
+    n and each t2 drops two quotients without raising n, (n, k) the rewrite
+    measure of c, so at most n + (k + n)/2 <= n + k rewrites come first.
     """
-    for _ in range(100_000):
+    n, k = rewrite_measure(c)
+    for _ in range(n + k + 1):
         for op, rewrite in (("t2", t2), ("t1", t1)):
             out = rewrite(c)
             if out is not c:
@@ -260,18 +263,14 @@ def _euclid_trace(a: int, b: int) -> list[int]:
 
 
 def fib_pair_for(k: int) -> tuple[int, int]:
-    """Consecutive Fibonacci numbers (c, d) whose integer division chain is
-    longer than 2k, so no integer chain of length <= k from (c, d)
-    terminates.  The length requirement is asserted at runtime rather than
-    trusted from the index arithmetic."""
+    """(F_{2k+3}, F_{2k+2}), whose Euclid chain has 2k + 1 > 2k steps, so no
+    integer chain of length <= k from it terminates; a shorter one is a bug."""
     if k < 1:
         raise ValueError("k must be positive")
-    m = 2 * k + 2
-    while True:
-        c, d = fibonacci(m + 1), fibonacci(m)
-        if len(_euclid_trace(c, d)) > 2 * k:
-            return c, d
-        m += 1
+    c, d = fibonacci(2 * k + 3), fibonacci(2 * k + 2)
+    if len(_euclid_trace(c, d)) <= 2 * k:
+        raise RuntimeError(f"the Fibonacci pair for k = {k} is too short (bug)")
+    return c, d
 
 
 def fibonacci_witness(

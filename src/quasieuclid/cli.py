@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument(
         "--norm-file",
-        help="JSON norm table {element: value}; walks the descent it cannot sustain",
+        help="JSON norm table {element: value}; walks its descent over canonical remainders",
     )
 
     p = add("scan", _cmd_scan, "residue-zero scan over a prime box")
@@ -260,29 +260,29 @@ def _norm_descent_demo(ctx, args, report) -> tuple[dict, list[str]]:
         norms[_parse(text)] = value
     lines = ["norm-table walk (a finite table cannot sustain the descent):"]
     trail = []
-    b = report.b
+    a, b = report.a, report.b
     while True:
         if b not in norms:
             lines.append(f"  N({_fmt(b)}) is not in the table; walk stops here")
             verdict = "table exhausted"
             break
-        a = adv.adversarial_pair(ctx, args.k, b)
+        if a is None:
+            a = adv.adversarial_pair(ctx, args.k, b)
         options = enumerate(ctx.qe_chain(a, b).remainders[: args.k], start=1)
         nb = norms[b]
         lines.append(f"  b = {_fmt(b)}, N(b) = {nb}, a = {_fmt(a)}")
         pick = next(((l, r) for l, r in options if norms.get(r, nb) < nb), None)
         if pick is None:
             lines.append(
-                "  no remainder within k stages has smaller table norm,"
-                " yet every one keeps degree >= deg b: the table fails the"
-                " k-stage property here"
+                "  no remainder among r_1..r_k of the canonical chain has a smaller"
+                " table norm (one missing from the table counts as not smaller)"
             )
-            verdict = "table refuted"
+            verdict = "no smaller canonical remainder"
             break
         l, r = pick
         lines.append(f"  take r_{l} = {_fmt(r)} with N = {norms[r]} < {nb}")
         trail.append(r)
-        b = r
+        a, b = None, r
     lines.append(f"  verdict: {verdict}")
     return {"trail": trail, "verdict": verdict}, lines
 

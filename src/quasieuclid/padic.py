@@ -15,8 +15,9 @@ needs one Horner pass mod n and never factors.  Ring membership of h/n is
 eval_mod(h, n) == 0, and the divmod correction and integer_mod ask it too.
 Inside the library residues are plain ints from TauSpec._tau, which trusts
 its (prime, precision) arguments; query, poly_eval_mod and hensel_lift are
-the public edge, where p and k come from a caller: they check theirs and
-return ResidueClass objects.
+the public edge, where p and k come from a caller: each checks them with
+_check_prime_power before any work and builds one ResidueClass, whose own
+check is the same function.
 
 factorize trial-divides by the primes below 1000 and splits what is left
 with Pollard's rho in Brent's variant.  Rho has a budget of RHO_BUDGET
@@ -463,6 +464,14 @@ def _roots_mod(f: Sequence[int], p: int) -> list[int]:
 # Residues.
 
 
+def _check_prime_power(p: int, k: int) -> None:
+    """Raise ValueError unless p is prime and k >= 0."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if k < 0:
+        raise ValueError("precision must be non-negative")
+
+
 @dataclass(frozen=True)
 class ResidueClass:
     """An element of Z/p^k Z, tagged with its prime and precision.
@@ -475,10 +484,7 @@ class ResidueClass:
     value: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if self.precision < 0:
-            raise ValueError("precision must be non-negative")
+        _check_prime_power(self.prime, self.precision)
         if not 0 <= self.value < self.prime**self.precision:
             raise ValueError(
                 f"value {self.value} out of range for {self.prime}^{self.precision}"
@@ -527,10 +533,7 @@ class TauSpec(ABC):
 
     def query(self, p: int, k: int) -> ResidueClass:
         """tau_p mod p^k as a ResidueClass; memoized."""
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if k < 0:
-            raise ValueError("precision must be non-negative")
+        _check_prime_power(p, k)
         return ResidueClass(p, k, self._tau(p, k))
 
     # reads come back to the primes of recent denominators; the key holds its spec alive
@@ -860,9 +863,8 @@ def _tau_from_json(data: Mapping, depth: int) -> TauSpec:
 
 def poly_eval_mod(h: Sequence[int], spec: TauSpec, p: int, k: int) -> ResidueClass:
     """h(tau_p) mod p^k by Horner's rule, entirely in Z/p^k Z."""
-    t = spec.query(p, k).value
-    mod = p**k
-    return ResidueClass(p, k, _eval_mod(h, t, mod))
+    _check_prime_power(p, k)
+    return ResidueClass(p, k, _eval_mod(h, spec._tau(p, k), p**k))
 
 
 class HenselLiftError(ValueError):
@@ -875,12 +877,9 @@ def hensel_lift(f: Sequence[int], p: int, root1: int, k: int) -> ResidueClass:
     root1 must satisfy f(root1) = 0 and f'(root1) != 0 mod p; violations
     raise HenselLiftError.  Uses Newton iteration with doubling precision.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime_power(p, k)
     if not 0 <= root1 < p:
         raise ValueError(f"root {root1} out of range for modulus {p}")
-    if k < 0:
-        raise ValueError("precision must be non-negative")
     deriv = _derivative(f)
     if _eval_mod(f, root1, p) != 0:
         raise HenselLiftError(f"{root1} is not a root of the polynomial mod {p}")
@@ -908,4 +907,4 @@ def _newton(f: Sequence[int], deriv: Sequence[int], p: int, x: int, k: int) -> i
         x = (x - _eval_mod(f, x, mod) * y) % mod
         if prec < k:  # the last step needs no inverse after it
             y = y * (2 - _eval_mod(deriv, x, mod) * y) % mod
-    return x % p**k
+    return x  # the last doubling reduced it mod p^k

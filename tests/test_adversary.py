@@ -1,7 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasieuclid import (
@@ -25,6 +26,9 @@ from quasieuclid import (
     zero,
 )
 from quasieuclid import adversary
+
+from _corpus import random_member
+from test_ring import ALL_TAU_KINDS
 
 TAUS = [constant(0), constant(1), constant(5), stream(42), log_generic(7)]
 
@@ -69,6 +73,14 @@ def test_fib_pair_chain_length_guarantee():
     for k in range(1, 8):
         c, d = fib_pair_for(k)
         assert _euclid_length(c, d) > 2 * k
+
+
+def test_fib_pair_is_f_2k_plus_3_over_f_2k_plus_2():
+    fib = [0, 1]
+    while len(fib) < 2 * 300 + 4:
+        fib.append(fib[-1] + fib[-2])
+    for k in range(1, 301):
+        assert fib_pair_for(k) == (fib[2 * k + 3], fib[2 * k + 2]), k
 
 
 def test_fib_pair_rejects_nonpositive_k():
@@ -144,7 +156,7 @@ def test_adversarial_pair_rejects_constants():
         adversarial_pair(RingContext(constant(0)), 1, as_element(5))
 
 
-def test_adversarial_pair_validates_b_and_a_once(monkeypatch):
+def test_adversarial_pair_validates_b_alone(monkeypatch):
     seen = []
     witness = RingContext.membership_witness
 
@@ -154,8 +166,8 @@ def test_adversarial_pair_validates_b_and_a_once(monkeypatch):
 
     monkeypatch.setattr(RingContext, "membership_witness", counting)
     b = RingElement((3, 1, 2))
-    a = adversarial_pair(RingContext(stream(42)), 3, b)
-    assert seen == [b, a]
+    adversarial_pair(RingContext(stream(42)), 3, b)
+    assert seen == [b]
 
 
 def test_degree_retention_validates_a_and_b_once(monkeypatch):
@@ -172,6 +184,20 @@ def test_degree_retention_validates_a_and_b_once(monkeypatch):
     monkeypatch.setattr(RingContext, "membership_witness", counting)
     assert degree_retention_check(ctx, 3, a, b).verdict
     assert seen == [a, b]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_TAU_KINDS), st.integers(0, 2**32), st.integers(1, 6))
+def test_adversarial_pair_is_a_member_without_a_check(tau, seed, k):
+    # the membership that adversarial_pair no longer checks: (b - beta)/d
+    # is a member by the choice of beta, and c is an integer
+    ctx = RingContext(tau)
+    b = random_member(ctx, random.Random(seed), max_deg=3, max_den=60)
+    assume(b.degree >= 1)
+    c, d = fib_pair_for(k)
+    a = adversarial_pair(ctx, k, b)
+    assert ctx.is_member(a)
+    assert a == RingElement((c,), d) * (b - integer_mod(ctx, b, d))
 
 
 def test_adversarial_pair_checks_membership_before_k():
@@ -223,6 +249,25 @@ def test_report_json_shape():
 
 
 # -- hat projection -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: integer_mod(RingContext(zero()), X, 0), "modulus must be positive"),
+        (lambda: integer_mod(RingContext(zero()), X, -3), "modulus must be positive"),
+        (
+            lambda: degree_retention_check(RingContext(zero()), 1, RingElement((0, -5), 3), -X),
+            "b must be positive; negate the pair first",
+        ),
+        (lambda: hat(0, X, X), "scale d must be positive"),
+    ],
+    ids=["integer_mod_0", "integer_mod_negative", "retention_negative_b", "hat_0"],
+)
+def test_adversary_rejects_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_hat_examples():

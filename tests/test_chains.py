@@ -9,6 +9,7 @@ from quasieuclid import (
     ONE,
     X,
     ZERO,
+    DivisionChain,
     NotMemberError,
     RingContext,
     RingElement,
@@ -24,6 +25,7 @@ from quasieuclid import (
     t1,
     t2,
 )
+from quasieuclid import chains
 
 CTX = RingContext(constant(0))
 
@@ -204,6 +206,30 @@ def test_normalize_bounds_and_measure_on_random_chains():
         assert final.length <= c.length + n0
 
 
+@pytest.mark.parametrize("k", [200, 400])
+def test_normalize_alternating_chains_stay_within_the_rewrite_bound(k):
+    # (1, 2, -2, 2, -2, ...): a t1 at every second quotient, and the
+    # t2 merges it leaves behind
+    c = build_chain(10**6, 1, [1] + [2 if i % 2 == 0 else -2 for i in range(k - 1)])
+    n, length = rewrite_measure(c)
+    steps = list(normalize_steps(c))
+    assert 0 < len(steps) <= n + length
+    assert steps[-1][1].positive_tail
+
+
+def test_normalize_steps_reports_a_rewrite_loop_after_the_bound(monkeypatch):
+    # a t2 that never settles: the walk stops after n + k + 1 rewrites,
+    # n + k derived from the chain, not from a fixed constant
+    monkeypatch.setattr(chains, "t2", lambda c: DivisionChain(c.a, c.b, c.quotients))
+    c = build_chain(7, 3, [2, 1, -1, 1])
+    n, k = rewrite_measure(c)
+    steps = []
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        for step in normalize_steps(c):
+            steps.append(step)
+    assert len(steps) == n + k + 1 == 7
+
+
 def reference_normalize_steps(c):
     # the selection loop that scans the quotients itself before rewriting
     while True:
@@ -288,6 +314,22 @@ def test_normalize_terminal_zero_to_empty_chain():
 
 def test_fibonacci_sequence():
     assert [fibonacci(n) for n in range(1, 11)] == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fibonacci(0), "index must be positive"),
+        (lambda: fibonacci_witness(0), "k must be positive"),
+        (lambda: fibonacci_witness(1, pair=(8, 13)), "pair (8, 13) is not a decreasing positive pair"),
+        (lambda: fibonacci_witness(1, pair=(5, 0)), "pair (5, 0) is not a decreasing positive pair"),
+    ],
+    ids=["fibonacci_0", "witness_0", "increasing_pair", "zero_pair"],
+)
+def test_fibonacci_helpers_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_witness_values():

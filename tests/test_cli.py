@@ -372,7 +372,76 @@ def test_norm_walk_demo(capsys, tmp_path):
     )
     assert code == 0
     assert "norm-table walk" in out
-    assert "table refuted" in out or "table exhausted" in out
+    assert "no smaller canonical remainder" in out or "table exhausted" in out
+
+
+_NO_SMALLER = (
+    "  no remainder among r_1..r_k of the canonical chain has a smaller"
+    " table norm (one missing from the table counts as not smaller)"
+)
+
+
+@pytest.mark.parametrize(
+    "table, walk_lines, walk_json",
+    [
+        # 5x/3 = 2*x + (-x/3) is a 1-stage chain to a remainder of norm 1 < 5,
+        # so the table is not refuted: only the canonical remainder 2x/3,
+        # missing from the table, was checked
+        (
+            {"x": 5, "-x/3": 1},
+            ["  b = x, N(b) = 5, a = 5*x/3", _NO_SMALLER, "  verdict: no smaller canonical remainder"],
+            {"trail": [], "verdict": "no smaller canonical remainder"},
+        ),
+        (
+            {"x": 5, "2x/3": 4},
+            [
+                "  b = x, N(b) = 5, a = 5*x/3",
+                "  take r_1 = 2*x/3 with N = 4 < 5",
+                "  b = 2*x/3, N(b) = 4, a = 10*x/9",
+                _NO_SMALLER,
+                "  verdict: no smaller canonical remainder",
+            ],
+            {"trail": [{"den": 3, "num": [0, 2]}], "verdict": "no smaller canonical remainder"},
+        ),
+        (
+            {"2x": 1},
+            ["  N(x) is not in the table; walk stops here", "  verdict: table exhausted"],
+            {"trail": [], "verdict": "table exhausted"},
+        ),
+    ],
+    ids=["other_quotient_descends", "descent_then_stop", "exhausted"],
+)
+def test_norm_walk_verdicts_claim_only_what_was_checked(capsys, tmp_path, table, walk_lines, walk_json):
+    path = tmp_path / "norms.json"
+    path.write_text(json.dumps(table))
+    argv = ["adversary", "--tau", '{"kind":"zero"}', "1", "x", "--norm-file", str(path)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index("norm-table walk (a finite table cannot sustain the descent):")
+    assert lines[start + 1 :] == walk_lines
+    assert "refuted" not in out
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["norm_walk"] == walk_json
+
+
+def test_norm_walk_reuses_the_reported_pair(capsys, tmp_path, monkeypatch):
+    seen = []
+    pair = adv.adversarial_pair
+
+    def recording(ctx, k, b):
+        seen.append(b)
+        return pair(ctx, k, b)
+
+    monkeypatch.setattr(adv, "adversarial_pair", recording)
+    path = tmp_path / "norms.json"
+    path.write_text(json.dumps({"x": 5, "2x/3": 4}))
+    code, _, _ = run_cli(capsys, "adversary", "--tau", ZERO_TAU, "1", "x", "--norm-file", str(path))
+    assert code == 0
+    # once for the report, once for the walk's second b; the first b's
+    # pair is the report's own
+    assert seen == [parse_element("x"), parse_element("2x/3")]
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, "3"], ids=["bool", "float", "str"])

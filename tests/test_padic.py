@@ -260,6 +260,28 @@ def test_query_validates_arguments():
         zero().query(5, -1)
 
 
+# The public residue edge: each function checks its prime and precision
+# before any work, with the two messages of ResidueClass's own check.
+RESIDUE_EDGE = {
+    "ResidueClass": lambda p, k: ResidueClass(p, k, 0),
+    "query": lambda p, k: stream(3).query(p, k),
+    "poly_eval_mod": lambda p, k: poly_eval_mod((1, 2, 3), stream(3), p, k),
+    "hensel_lift": lambda p, k: hensel_lift((-2, 0, 1), p, 3, k),
+}
+
+
+@pytest.mark.parametrize("call", RESIDUE_EDGE.values(), ids=RESIDUE_EDGE.keys())
+@pytest.mark.parametrize(
+    "p, k, message",
+    [(6, 2, "6 is not prime"), (1, 2, "1 is not prime"), (7, -1, "precision must be non-negative")],
+    ids=["composite", "one", "negative_k"],
+)
+def test_residue_edge_messages(call, p, k, message):
+    with pytest.raises(ValueError) as err:
+        call(p, k)
+    assert str(err.value) == message
+
+
 def test_query_deterministic_and_memoized():
     spec = stream(42)
     first = spec.query(7, 5)
@@ -417,6 +439,24 @@ def test_a_dropped_spec_never_answers_for_a_new_one():
 # -- polynomial evaluation ------------------------------------------------------
 
 
+@pytest.mark.parametrize("make", FRESH_SPECS.values(), ids=FRESH_SPECS.keys())
+def test_poly_eval_mod_builds_one_residue_class(monkeypatch, make):
+    built = []
+    post_init = ResidueClass.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ResidueClass, "__post_init__", counting)
+    spec, calls = make(), [((1, 2, 3), 7, 3), ((0, 1), 2, 5), ((-2, 0, 1), 17, 0), ((5,), 3, 1)]
+    results = [poly_eval_mod(h, spec, p, k) for h, p, k in calls]
+    assert built == results
+    for r, (h, p, k) in zip(results, calls):
+        t = spec.query(p, k).value
+        assert (r.prime, r.precision, r.value) == (p, k, sum(c * t**i for i, c in enumerate(h)) % p**k)
+
+
 def test_poly_eval_examples():
     # t^2 + t is even for both residues mod 2
     for spec in (constant(0), constant(1), stream(3)):
@@ -467,6 +507,23 @@ def test_hensel_lift_examples():
         hensel_lift((1, 0, 1), 2, 1, 3)  # derivative vanishes mod 2
     with pytest.raises(HenselLiftError):
         hensel_lift((1, 0, 1), 7, 3, 3)  # not a root at all
+
+
+@pytest.mark.parametrize(
+    "p, root, k, message",
+    [
+        (7, 7, 2, "root 7 out of range for modulus 7"),
+        (7, -4, 2, "root -4 out of range for modulus 7"),
+        # both root and k are bad: the (p, k) check comes first
+        (7, 10, -1, "precision must be non-negative"),
+    ],
+    ids=["root_p", "negative_root", "root_and_k"],
+)
+def test_hensel_lift_rejects_bad_roots(p, root, k, message):
+    with pytest.raises(ValueError) as err:
+        hensel_lift((-2, 0, 1), p, root, k)
+    assert str(err.value) == message
+    assert not isinstance(err.value, HenselLiftError)
 
 
 @settings(max_examples=80, deadline=None)
@@ -542,6 +599,12 @@ def test_crt_examples_against_enumeration():
 def test_crt_rejects_common_factors():
     with pytest.raises(ValueError):
         crt_combine([(4, 1), (6, 3)])
+
+
+@pytest.mark.parametrize("m", [0, -5])
+def test_crt_rejects_nonpositive_moduli(m):
+    with pytest.raises(ValueError, match=f"^modulus must be positive, got {m}$"):
+        crt_combine([(3, 1), (m, 0)])
 
 
 def test_crt_empty():
@@ -638,6 +701,30 @@ def test_tau_json_rejects_unknown():
         tau_from_json({"kind": "zero", "bogus": 1})
     with pytest.raises(ValueError, match="unknown tau spec kind"):
         tau_from_json({"kind": ["zero"]})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            {"kind": "hensel", "poly": "x^2-2", "fallback": {"kind": "zero"}},
+            "hensel 'poly' must be a list of integers, got 'x^2-2'",
+        ),
+        (
+            {"kind": "hensel", "poly": {"0": -2}, "fallback": {"kind": "zero"}},
+            "hensel 'poly' must be a list of integers, got {'0': -2}",
+        ),
+        (
+            {"kind": "piecewise", "overrides": [[2, {"kind": "zero"}]], "default": {"kind": "zero"}},
+            "piecewise 'overrides' must be an object",
+        ),
+    ],
+    ids=["poly_str", "poly_object", "overrides_list"],
+)
+def test_tau_json_rejects_wrong_container_types(data, message):
+    with pytest.raises(ValueError) as err:
+        tau_from_json(data)
+    assert str(err.value) == message
 
 
 def test_tau_json_depth_cap():

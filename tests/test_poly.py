@@ -360,7 +360,7 @@ def test_parse_examples():
 
 
 def test_parse_errors():
-    for bad in ("", "x +", "y", "x^-1", "x/(x+1)", "1/0", "(x", "3..2"):
+    for bad in ("", "x +", "y", "x^-1", "x/(x+1)", "1/0", "(x", "3..2", "x)", ")", "x^x"):
         with pytest.raises(ParseError):
             parse_element(bad)
 

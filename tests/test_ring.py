@@ -466,6 +466,12 @@ def test_qe_chain_rejects_nonpositive_step_budget():
             ctx.qe_chain(8, 5, max_steps=max_steps)
 
 
+def test_qe_chain_rejects_zero_divisor():
+    ctx = RingContext(constant(0))
+    with pytest.raises(ZeroDivisionError, match="^chain requires b != 0$"):
+        ctx.qe_chain(X, ZERO)
+
+
 def test_qe_chain_zero_dividend():
     ctx = RingContext(constant(0))
     chain = ctx.qe_chain(ZERO, as_element(4))
