@@ -93,9 +93,10 @@ def degree_retention_check(ctx: RingContext, k: int, a: RingElement, b: RingElem
     """Run the canonical chain from (a, b) and record the degrees of its
     first 2k remainders; the verdict is True when all of them reach deg b.
 
-    (a, b) must come from adversarial_pair with b > 0; a is re-derived and
-    checked so the reported (c, d, beta) always describe the given pair.
-    The chain validates a and b, once each, before beta is read from b.
+    (a, b) must come from adversarial_pair with b > 0.  The chain validates
+    a and b, once each; beta is then read off the pair as b - (d/c)a, which
+    must be an integer in [0, d), so the reported (c, d, beta) always
+    describe the given pair.  No residue is computed here.
     k past ADVERSARY_K_MAX raises BudgetExceeded.
     """
     _check_k(k)
@@ -104,13 +105,19 @@ def degree_retention_check(ctx: RingContext, k: int, a: RingElement, b: RingElem
         raise ValueError("b must be positive; negate the pair first")
     c, d = fib_pair_for(k)
     qe = ctx.qe_chain(a, b)
-    beta = _member_mod(ctx, b, d)
-    if a != RingElement((c,), d) * (b - beta):
+    # With a and b members and beta an integer, (b - beta)/d = a/c is a
+    # member: at a prime of d, c is a unit (consecutive Fibonacci numbers are
+    # coprime) and a is a member; at any other prime d is a unit and b is a
+    # member.  The ring meets Q in Z, so such a beta in [0, d) is unique: it
+    # is integer_mod(ctx, b, d), and a = (c/d)(b - beta) as adversarial_pair
+    # builds it.
+    beta = b - RingElement((d,), c) * a
+    if not beta.is_integer or not 0 <= int(beta) < d:
         raise ValueError("pair (a, b) was not produced by adversarial_pair")
     need = 2 * k
     degrees = tuple(r.degree for r in qe.remainders[:need])
     verdict = len(degrees) == need and all(dg >= b.degree for dg in degrees)
-    return AdversaryReport(k, b, c, d, beta, a, degrees, verdict)
+    return AdversaryReport(k, b, c, d, int(beta), a, degrees, verdict)
 
 
 def hat(d: int, b: RingElement, r: RingElement) -> Fraction:

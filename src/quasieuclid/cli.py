@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Each subcommand's parser carries its handler, which main calls.  Every
-subcommand has a plain-text rendering and a JSON twin (--json) with the same
-numeric content.  Exit codes: 0 success, 1 domain error (reported as an
-error object in JSON mode) or stdout closed by its reader, 2 usage error.
+Each subcommand's parser carries its handler, which main calls.  The parser
+turns every argument into a value (a polynomial, a norm table) before any
+ring work starts, so a usage error costs no factoring.  Every subcommand
+has a plain-text rendering and a JSON twin (--json) with the same numeric
+content.  Exit codes: 0 success, 1 domain error (reported as an error
+object in JSON mode) or stdout closed by its reader, 2 usage error.
 """
 
 from __future__ import annotations
@@ -58,46 +60,47 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("member", _cmd_member, "test ring membership")
-    p.add_argument("element")
+    p.add_argument("element", type=_parse)
 
     p = add("divmod", _cmd_divmod, "division with remainder")
-    p.add_argument("dividend")
-    p.add_argument("divisor")
+    p.add_argument("dividend", type=_parse)
+    p.add_argument("divisor", type=_parse)
 
     p = add("gcd", _cmd_gcd, "gcd with Bezout coefficients")
-    p.add_argument("a")
-    p.add_argument("b")
+    p.add_argument("a", type=_parse)
+    p.add_argument("b", type=_parse)
 
     p = add("chain", _cmd_chain, "canonical division chain with norm trace")
-    p.add_argument("a")
-    p.add_argument("b")
+    p.add_argument("a", type=_parse)
+    p.add_argument("b", type=_parse)
     p.add_argument("--max-steps", type=int, default=CHAIN_STEPS_MAX)
 
     p = add("normalize", _cmd_normalize, "rewrite a chain to positive quotients")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("quotients", nargs="+")
+    p.add_argument("a", type=_parse)
+    p.add_argument("b", type=_parse)
+    p.add_argument("quotients", nargs="+", type=_parse)
 
     p = add("compare", _cmd_compare, "compare a chain against the canonical one")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("quotients", nargs="+")
+    p.add_argument("a", type=_parse)
+    p.add_argument("b", type=_parse)
+    p.add_argument("quotients", nargs="+", type=_parse)
 
     p = add("adversary", _cmd_adversary, "degree-retaining pair and its report")
     p.add_argument("k", type=int)
-    p.add_argument("b")
+    p.add_argument("b", type=_parse)
     p.add_argument(
         "--norm-file",
+        type=_norm_table,
         help="JSON norm table {element: value}; walks its descent over canonical remainders",
     )
 
     p = add("scan", _cmd_scan, "residue-zero scan over a prime box")
-    p.add_argument("h")
+    p.add_argument("h", type=_parse)
     p.add_argument("--pmax", type=int, default=50)
     p.add_argument("--kmax", type=int, default=8)
 
     p = add("witness", _cmd_witness, "descending divisibility chain below h")
-    p.add_argument("h")
+    p.add_argument("h", type=_parse)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--pmax", type=int, default=50)
     p.add_argument("--kmax", type=int, default=8)
@@ -140,7 +143,7 @@ def _read_json(path: str, unreadable: str, malformed: str):
 
 def _decode_json(text: str, malformed: str):
     try:
-        return json.loads(text, parse_int=_json_int)
+        return json.loads(text, parse_int=_json_int, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         # RecursionError: JSON nested too deep for the decoder itself
         raise UsageError(f"{malformed}: {exc}")
@@ -152,6 +155,20 @@ def _json_int(digits: str) -> int:
     return _int_literal(digits, "in the JSON")
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json would keep a repeated key's last value without a word
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+# -- argument types: each raises UsageError, which argparse passes through
+# unchanged, so the message carries no "argument X:" prefix
+
+
 def _parse(text: str) -> RingElement:
     try:
         return parse_element(text)
@@ -159,12 +176,31 @@ def _parse(text: str) -> RingElement:
         raise UsageError(f"bad polynomial {text!r}: {exc}")
 
 
+def _norm_table(path: str) -> dict[RingElement, int]:
+    """The --norm-file table {element: norm}: a JSON object whose keys name
+    distinct elements and whose values are non-negative integers."""
+    table = _read_json(path, "cannot read norm table", "cannot read norm table")
+    if not isinstance(table, dict):
+        raise UsageError("norm table must be a JSON object {element: value}")
+    norms, keys = {}, {}
+    for text, value in table.items():
+        if type(value) is not int:
+            raise UsageError(f"norm of {text!r} must be an integer, got {value!r}")
+        if value < 0:
+            raise UsageError(f"norm of {text!r} must be non-negative, got {value}")
+        e = _parse(text)
+        if e in keys:
+            raise UsageError(f"norm table keys {keys[e]!r} and {text!r} name the same element")
+        keys[e], norms[e] = text, value
+    return norms
+
+
 # -- subcommand handlers: each returns (json_payload, text_lines) ------------
 # A payload holds library values as they are; main encodes it with poly._json.
 
 
 def _cmd_member(ctx, args):
-    e = _parse(args.element)
+    e = args.element
     verdict = ctx.is_member(e)
     try:
         text = _fmt(e)
@@ -176,15 +212,12 @@ def _cmd_member(ctx, args):
 
 
 def _cmd_divmod(ctx, args):
-    q = ctx.make_element(_parse(args.dividend))
-    r = ctx.make_element(_parse(args.divisor))
-    p, s = ctx.divmod(q, r)
+    p, s = ctx.divmod(ctx.make_element(args.dividend), ctx.make_element(args.divisor))
     return {"quotient": p, "remainder": s}, [f"quotient:  {_fmt(p)}", f"remainder: {_fmt(s)}"]
 
 
 def _cmd_gcd(ctx, args):
-    a = _parse(args.a)
-    b = _parse(args.b)
+    a, b = args.a, args.b
     g, u, v = ctx.gcd_bezout(a, b)
     lines = [
         f"gcd: {_fmt(g)}",
@@ -199,9 +232,7 @@ def _phi_list(chain: ch.DivisionChain) -> list:
 
 
 def _cmd_chain(ctx, args):
-    a = _parse(args.a)
-    b = _parse(args.b)
-    chain = ctx.qe_chain(a, b, max_steps=args.max_steps)
+    chain = ctx.qe_chain(args.a, args.b, max_steps=args.max_steps)
     norms = _phi_list(chain)
     payload = {**chain.to_json(), "phi": norms}
     lines = [f"a = {_fmt(chain.a)}", f"b = {_fmt(chain.b)}", f"phi(a, b) = {tuple(norms[0])}"]
@@ -212,15 +243,8 @@ def _cmd_chain(ctx, args):
     return payload, lines
 
 
-def _chain_from_args(ctx, args) -> ch.DivisionChain:
-    a = _parse(args.a)
-    b = _parse(args.b)
-    quots = [_parse(q) for q in args.quotients]
-    return ch.build_chain(a, b, quots, ctx=ctx)
-
-
 def _cmd_normalize(ctx, args):
-    chain = _chain_from_args(ctx, args)
+    chain = ch.build_chain(args.a, args.b, args.quotients, ctx=ctx)
     steps = list(ch.normalize_steps(chain))
     final = steps[-1][1] if steps else chain
     lines = [f"start: {chain}"]
@@ -231,7 +255,7 @@ def _cmd_normalize(ctx, args):
 
 
 def _cmd_compare(ctx, args):
-    chain = _chain_from_args(ctx, args)
+    chain = ch.build_chain(args.a, args.b, args.quotients, ctx=ctx)
     report = ch.compare_to_qe(ctx, chain)
     lines = [f"chain: {chain}", f"canonical length: {report.canonical.length}"]
     for row in report.rows:
@@ -250,47 +274,39 @@ def _cmd_compare(ctx, args):
 
 
 def _norm_descent_demo(ctx, args, report) -> tuple[dict, list[str]]:
-    table = _read_json(args.norm_file, "cannot read norm table", "cannot read norm table")
-    if not isinstance(table, dict):
-        raise UsageError("norm table must be a JSON object {element: value}")
-    norms = {}
-    for text, value in table.items():
-        if type(value) is not int:
-            raise UsageError(f"norm of {text!r} must be an integer, got {value!r}")
-        norms[_parse(text)] = value
+    # each step moves to a table element of strictly smaller norm, so the walk
+    # ends within len(table) steps
+    norms = args.norm_file
     lines = ["norm-table walk (a finite table cannot sustain the descent):"]
     trail = []
     a, b = report.a, report.b
-    while True:
-        if b not in norms:
-            lines.append(f"  N({_fmt(b)}) is not in the table; walk stops here")
-            verdict = "table exhausted"
-            break
-        if a is None:
+    if b not in norms:
+        lines.append(f"  N({_fmt(b)}) is not in the table; walk stops here")
+        verdict = "table exhausted"
+    else:
+        while True:
+            options = enumerate(ctx.qe_chain(a, b).remainders[: args.k], start=1)
+            nb = norms[b]
+            lines.append(f"  b = {_fmt(b)}, N(b) = {nb}, a = {_fmt(a)}")
+            pick = next(((l, r) for l, r in options if norms.get(r, nb) < nb), None)
+            if pick is None:
+                break
+            l, b = pick
+            lines.append(f"  take r_{l} = {_fmt(b)} with N = {norms[b]} < {nb}")
+            trail.append(b)
             a = adv.adversarial_pair(ctx, args.k, b)
-        options = enumerate(ctx.qe_chain(a, b).remainders[: args.k], start=1)
-        nb = norms[b]
-        lines.append(f"  b = {_fmt(b)}, N(b) = {nb}, a = {_fmt(a)}")
-        pick = next(((l, r) for l, r in options if norms.get(r, nb) < nb), None)
-        if pick is None:
-            lines.append(
-                "  no remainder among r_1..r_k of the canonical chain has a smaller"
-                " table norm (one missing from the table counts as not smaller)"
-            )
-            verdict = "no smaller canonical remainder"
-            break
-        l, r = pick
-        lines.append(f"  take r_{l} = {_fmt(r)} with N = {norms[r]} < {nb}")
-        trail.append(r)
-        a, b = None, r
+        lines.append(
+            "  no remainder among r_1..r_k of the canonical chain has a smaller"
+            " table norm (one missing from the table counts as not smaller)"
+        )
+        verdict = "no smaller canonical remainder"
     lines.append(f"  verdict: {verdict}")
     return {"trail": trail, "verdict": verdict}, lines
 
 
 def _cmd_adversary(ctx, args):
-    b = _parse(args.b)
-    a = adv.adversarial_pair(ctx, args.k, b)
-    report = adv.degree_retention_check(ctx, args.k, a, b)
+    a = adv.adversarial_pair(ctx, args.k, args.b)
+    report = adv.degree_retention_check(ctx, args.k, a, args.b)
     lines = [
         f"k = {report.k}, b = {_fmt(report.b)}",
         f"(c, d) = ({report.c}, {report.d}), beta = {report.beta}",
@@ -298,16 +314,15 @@ def _cmd_adversary(ctx, args):
         f"degrees of first {2 * report.k} remainders: {list(report.degrees)}",
         f"verdict: {'true' if report.verdict else 'false'}",
     ]
-    if not args.norm_file:
+    if args.norm_file is None:
         return report, lines
     walk, walk_lines = _norm_descent_demo(ctx, args, report)
     return {**report.to_json(), "norm_walk": walk}, lines + walk_lines
 
 
 def _cmd_scan(ctx, args):
-    h = _parse(args.h)
-    scan = cl.scan_sh(ctx, h, args.pmax, args.kmax)
-    lines = [f"h = {_fmt(h)}, box: p <= {args.pmax}, k <= {args.kmax}"]
+    scan = cl.scan_sh(ctx, args.h, args.pmax, args.kmax)
+    lines = [f"h = {_fmt(args.h)}, box: p <= {args.pmax}, k <= {args.kmax}"]
     if not scan.hits:
         lines.append("no residue zeros in the box")
     for hit in scan.hits:
@@ -322,14 +337,13 @@ def _cmd_scan(ctx, args):
 
 
 def _cmd_witness(ctx, args):
-    h = _parse(args.h)
-    witness = cl.non_ufd_witness(ctx, h, args.depth, p_max=args.pmax, k_max=args.kmax)
+    witness = cl.non_ufd_witness(ctx, args.h, args.depth, p_max=args.pmax, k_max=args.kmax)
     if witness is None:
         lines = ["no witness within bounds (inconclusive)"]
     else:
         lines = [f"kind: {witness.kind}", f"primes: {list(witness.primes)}"]
         lines += [f"  {_fmt(e)}" for e in witness.chain]
-    return {"h": h, "witness": witness}, lines
+    return {"h": args.h, "witness": witness}, lines
 
 
 def _cmd_tau(ctx, args):
@@ -353,13 +367,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    json_mode = getattr(args, "json", False)
     try:
+        # parse_args raises SystemExit or UsageError, so args is bound below
+        args = _build_parser().parse_args(argv)
         ctx = RingContext(_load_tau(args))
         payload, lines = args.handler(ctx, args)
-        text = json.dumps(payload, sort_keys=True, default=_json) if json_mode else None
+        text = json.dumps(payload, sort_keys=True, default=_json) if args.json else None
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -372,12 +385,12 @@ def _run(argv: list[str] | None) -> int:
                 " decimal digits, the interpreter's limit for printing one",
                 file=sys.stderr,
             )
-        elif json_mode:
+        elif args.json:
             print(json.dumps({"error": str(exc)}, sort_keys=True))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-    if json_mode:
+    if args.json:
         print(text)
     else:
         for line in lines:

@@ -240,6 +240,42 @@ def test_degree_retention_rejects_foreign_pairs():
         degree_retention_check(ctx, 1, X + 1, X)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_TAU_KINDS), st.integers(0, 2**32), st.integers(1, 6))
+def test_degree_retention_reads_beta_off_the_pair(tau, seed, k):
+    # beta = b - (d/c)a computes no residue, yet it is integer_mod's beta
+    ctx = RingContext(tau)
+    b = random_member(ctx, random.Random(seed), max_deg=3, max_den=60)
+    assume(b.degree >= 1 and b > ZERO)
+    a = adversarial_pair(ctx, k, b)
+
+    def no_residue(*args):
+        raise AssertionError("degree_retention_check computed a residue")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adversary, "_member_mod", no_residue)
+        report = degree_retention_check(ctx, k, a, b)
+    assert report.beta == integer_mod(ctx, b, report.d)
+
+
+@pytest.mark.parametrize(
+    "foreign",
+    [
+        lambda a, c, d: a - RingElement((c,), d),  # not a member
+        lambda a, c, d: a - c,  # beta + d, past [0, d)
+        lambda a, c, d: a + c,  # beta - d, below [0, d)
+        lambda a, c, d: 2 * a,  # beta not an integer
+    ],
+    ids=["a-c/d", "a-c", "a+c", "2a"],
+)
+def test_degree_retention_rejects_pairs_off_by_a_multiple(foreign):
+    ctx = RingContext(constant(0))
+    c, d = fib_pair_for(1)
+    a = adversarial_pair(ctx, 1, X)
+    with pytest.raises(ValueError):
+        degree_retention_check(ctx, 1, foreign(a, c, d), X)
+
+
 def test_report_json_shape():
     ctx = RingContext(constant(0))
     a = adversarial_pair(ctx, 1, X)

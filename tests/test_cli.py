@@ -468,8 +468,10 @@ def test_tau_json_integer_fields_are_strict(build, bad):
         ([["x", 5]], "must be a JSON object"),
         ({"x": 2.5}, "must be an integer"),
         ({"x": "abc"}, "must be an integer"),
+        ({"x": -1}, "norm of 'x' must be non-negative, got -1"),
+        ({"x": 5, "2x/3": 4, "1*x": 1}, "norm table keys 'x' and '1*x' name the same element"),
     ],
-    ids=["list", "float", "str"],
+    ids=["list", "float", "str", "negative", "one_element_twice"],
 )
 def test_norm_file_rejects_bad_shapes(capsys, tmp_path, table, message):
     path = tmp_path / "norms.json"
@@ -730,6 +732,8 @@ _NORM_FILE = ("adversary", "--tau", ZERO_TAU, "1", "x", "--norm-file")
         (_NORM_FILE, b'{"x":', "error: cannot read norm table: Expecting value"),
         (_TAU_FILE, None, "error: cannot read tau file: [Errno"),
         (_NORM_FILE, None, "error: cannot read norm table: [Errno"),
+        (_TAU_FILE, b'{"kind":"constant","value":0,"value":1}', "error: bad tau spec: duplicate key 'value'"),
+        (_NORM_FILE, b'{"x": 5, "x": 1}', "error: cannot read norm table: duplicate key 'x'"),
     ],
     ids=[
         "tau-nested-too-deep",
@@ -740,6 +744,8 @@ _NORM_FILE = ("adversary", "--tau", ZERO_TAU, "1", "x", "--norm-file")
         "norm-malformed",
         "tau-missing",
         "norm-missing",
+        "tau-duplicate-key",
+        "norm-duplicate-key",
     ],
 )
 def test_json_files_that_cannot_be_read_are_usage_errors(tmp_path, argv, content, message):
@@ -811,3 +817,116 @@ def test_scan_box_past_the_limit_exits_1_at_once(argv):
         assert proc.stderr.count("\n") == 1
     # the box is checked before the sieve: a scan to 10^7 alone takes seconds
     assert elapsed < 5
+
+
+# -- one input phase: every argument becomes a value before any ring work -------
+
+# (2^61 - 1)(10^18 + 9): too hard for the rho budget, so membership of x/N
+# would spend seconds factoring before failing with exit 1
+_UNFACTORABLE = f"x/{(2**61 - 1) * (10**18 + 9)}"
+_ADV_58 = ("adversary", "--seed", "42", "58", "2x^2+x+3", "--norm-file")
+
+
+@pytest.fixture
+def no_factoring(monkeypatch):
+    from quasieuclid import padic, ring
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) ran before the usage error")
+
+    monkeypatch.setattr(padic, "factorize", refuse)
+    monkeypatch.setattr(ring, "factorize", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, table, message",
+    [
+        (("divmod", "--seed", "1", _UNFACTORABLE, "x+"), None, "error: bad polynomial 'x+'"),
+        (_ADV_58 + ("TABLE",), {"x": 2.5}, "error: norm of 'x' must be an integer"),
+        (_ADV_58 + ("TABLE",), {"y": 1}, "error: bad polynomial 'y'"),
+        (_ADV_58 + ("MISSING",), None, "error: cannot read norm table: [Errno"),
+        (_ADV_58 + ("",), None, "error: cannot read norm table: [Errno"),
+        (("normalize", "--seed", "1", _UNFACTORABLE, "1", "x+"), None, "error: bad polynomial 'x+'"),
+        (("compare", "--seed", "1", _UNFACTORABLE, "1", "1", "x+"), None, "error: bad polynomial 'x+'"),
+    ],
+    ids=[
+        "divmod",
+        "adversary-bad-value",
+        "adversary-bad-key",
+        "adversary-missing",
+        "adversary-empty-path",
+        "normalize",
+        "compare",
+    ],
+)
+def test_usage_errors_come_before_any_ring_work(capsys, tmp_path, no_factoring, argv, table, message):
+    path = tmp_path / "norms.json"
+    if table is not None:
+        path.write_text(json.dumps(table))
+    paths = {"TABLE": str(path), "MISSING": str(tmp_path / "missing.json")}
+    code, out, err = run_cli(capsys, *[paths.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_empty_norm_table_still_walks(capsys, tmp_path):
+    path = tmp_path / "norms.json"
+    path.write_text("{}")
+    argv = ["adversary", "--tau", ZERO_TAU, "1", "x", "--norm-file", str(path)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "norm-table walk (a finite table cannot sustain the descent):",
+        "  N(x) is not in the table; walk stops here",
+        "  verdict: table exhausted",
+    ]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["norm_walk"] == {"trail": [], "verdict": "table exhausted"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("member", "Y"),
+        ("divmod", "Y", "x"),
+        ("divmod", "x", "Y"),
+        ("gcd", "Y", "x"),
+        ("gcd", "x", "Y"),
+        ("chain", "Y", "x"),
+        ("chain", "x", "Y"),
+        ("normalize", "Y", "8", "2"),
+        ("normalize", "13", "Y", "2"),
+        ("normalize", "13", "8", "Y"),
+        ("normalize", "13", "8", "2", "Y"),
+        ("compare", "Y", "8", "2"),
+        ("compare", "13", "Y", "2"),
+        ("compare", "13", "8", "Y"),
+        ("compare", "13", "8", "2", "Y"),
+        ("adversary", "1", "Y"),
+        ("scan", "Y"),
+        ("witness", "Y"),
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+def test_bad_polynomial_in_any_position_returns_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: bad polynomial 'Y': unexpected character 'Y' at position 0\n"
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [
+        '{"kind":"constant","value":0,"value":1}',
+        '{"kind":"piecewise","overrides":{"2":{"kind":"zero"},"2":{"kind":"constant","value":1}},'
+        '"default":{"kind":"zero"}}',
+    ],
+    ids=["constant", "piecewise-override"],
+)
+def test_tau_json_repeated_keys_are_usage_errors(capsys, tau):
+    # json alone would read the repeated key's last value: constant 1, and
+    # the later override
+    code, out, err = run_cli(capsys, "member", "--json", "--tau", tau, "x/2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad tau spec: duplicate key ")
