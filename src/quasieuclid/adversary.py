@@ -28,7 +28,12 @@ from .ring import RingContext
 # random b of degree 3 and 4 (20,000 at k = 50, 5,000 at k = 200) and 150
 # random b of degree 1 to 4 at k = 2000.  So k = 2000 keeps it within
 # qe_chain's budget of ring.CHAIN_STEPS_MAX = 10,000 steps with a fifth to
-# spare, and such a pair takes under a second.
+# spare, and such a pair takes under a second.  A tau that needs factoring
+# may stop earlier, on the rho budget: stream(42) with b = 2x^2+x+3 passes
+# every k <= 75 and log_generic(7) with b = x every k <= 95 (see the
+# comment above padic._TRIAL_BOUND).  A constant tau factors nothing, nor
+# does a piecewise spec over a constant default: {2: constant(1)} over
+# zero() passes every k up to the limit with b = x.
 ADVERSARY_K_MAX = 2000
 
 

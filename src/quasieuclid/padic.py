@@ -11,16 +11,20 @@ remaindering.
 TauSpec.eval_mod(h, n) is the one place that answers "what is h(tau) mod
 n?" for a composite n: it factors n, evaluates h at each prime power, and
 combines the residues by Chinese remaindering; a constant tau (zero too)
-needs one Horner pass mod n and never factors.  Ring membership of h/n is
-eval_mod(h, n) == 0, and the divmod correction and integer_mod ask it too.
+needs one Horner pass mod n and never factors.  A piecewise spec divides
+out the powers of its override primes, which need no factoring, and hands
+the cofactor to its default's eval_mod, so over a constant default it
+never factors either.  Ring membership of h/n is eval_mod(h, n) == 0, and
+the divmod correction and integer_mod ask it too.
 Inside the library residues are plain ints from TauSpec._tau, which trusts
 its (prime, precision) arguments; query, poly_eval_mod and hensel_lift are
 the public edge, where p and k come from a caller: each checks them with
 _check_prime_power before any work and builds one ResidueClass, whose own
 check is the same function.
 
-factorize trial-divides by the primes below 1000 and splits what is left
-with Pollard's rho in Brent's variant.  Rho has a budget of RHO_BUDGET
+factorize trial-divides by the primes below 1000, splits a composite rest
+by gcds with the Fibonacci numbers below it, and splits each part with
+Pollard's rho in Brent's variant.  Rho has a budget of RHO_BUDGET
 iterations per call; past it, factorize raises FactorBudgetExceeded (a
 BudgetExceeded, which is a ValueError) instead of running on.  is_prime is
 exact below 3.3e24 and BPSW-probable above, and factorize trusts it on
@@ -31,11 +35,12 @@ TauSpec._tau keyed by (spec, p, k) and HenselTau._simple_root by (spec, p).
 Consumers (query, eval_mod, classify.scan_sh) read _tau.  A spec implements
 the uncached _residue, called with k >= 1; a composite spec returns the
 _residue of the spec it picks, so each residue is stored once, under the
-spec the caller asked for.  A scan touches each prime once, so only recent
-entries are read again.  A key holds its spec alive and specs hash by
-identity, so an entry never answers for a later spec.  Cached values are
-deterministic functions of their key and lru_cache is thread-safe, so
-concurrent readers may share a spec.
+spec the caller asked for; only the cofactor that a piecewise eval_mod
+hands to its default is read under the default.  A scan touches each
+prime once, so only recent entries are read again.  A key holds its spec
+alive and specs hash by identity, so an entry never answers for a later
+spec.  Cached values are deterministic functions of their key and
+lru_cache is thread-safe, so concurrent readers may share a spec.
 """
 
 from __future__ import annotations
@@ -159,12 +164,19 @@ class FactorBudgetExceeded(BudgetExceeded):
     """factorize spent RHO_BUDGET rho iterations without a full factorization."""
 
 
-# factorize trial-divides by the primes below _TRIAL_BOUND, then splits the
-# cofactor with Pollard's rho in Brent's variant, which may take at most
-# RHO_BUDGET iterations of x -> x^2 + c mod n per factorize call (about 2 s
-# for a 120-bit n under CPython 3.11 on a 2-vCPU x86-64 host).  Rho finds a
-# prime factor p after a small multiple of sqrt(p) iterations, so every prime
-# factor but the largest should stay below about 10^12.
+# factorize trial-divides by the primes below _TRIAL_BOUND, splits a
+# composite cofactor by gcds with the Fibonacci numbers F_j below it, then
+# splits each part with Pollard's rho in Brent's variant, which may take at
+# most RHO_BUDGET iterations of x -> x^2 + c mod n per factorize call, all
+# parts together (about 2 s for a 120-bit n under CPython 3.11 on a 2-vCPU
+# x86-64 host).  Rho finds a prime factor p after a small multiple of
+# sqrt(p) iterations, so within one part every prime factor but the largest
+# should stay below about 10^12.  The adversary's chain denominators are
+# products of F_j (j <= 2k + 3) and a few other primes, so with the split
+# degree_retention_check passes every k <= 75 under stream(42) with
+# b = 2x^2+x+3 and every k <= 95 under log_generic(7) with b = x (rho
+# alone: 51 and 42).  The first failures, k = 76 and 96, each meet two
+# primes of no F_j, both past 10^12.
 _TRIAL_BOUND = 1000
 _TRIAL_PRIMES = tuple(primes_upto(_TRIAL_BOUND))
 RHO_BUDGET = 2**23
@@ -188,11 +200,41 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 n //= p
                 e += 1
             out[p] = e
-    if n >= _TRIAL_BOUND**2:
-        _split(n, 1, out, RHO_BUDGET)
+    if n >= _TRIAL_BOUND**2 and not is_prime(n):
+        budget = RHO_BUDGET
+        for part in _fibonacci_parts(n):
+            budget = _split(part, 1, out, budget)
     elif n > 1:
-        out[n] = 1  # no prime factor below its square root
+        out[n] = 1  # no prime factor below its square root, or a prime
     return tuple(sorted(out.items()))
+
+
+def _fibonacci_parts(n: int) -> list[int]:
+    """Parts > 1 with product n: for each j, the part of n on the primes
+    that divide F_j <= n and no earlier Fibonacci number, then the rest.
+
+    gcd(F_i, F_j) = F_gcd(i,j) (Lucas, 1878), so once the primes of every
+    earlier F_i are out, gcd(F_j, rest) holds only those of F_j itself.
+    One gcd with the product of the F_j mod n first tells whether any prime
+    of n divides one; when none does, the result is [n] at once."""
+    q, a, b = 1, 1, 2
+    while b <= n:
+        q = q * b % n
+        a, b = b, a + b
+    if math.gcd(q, n) == 1:
+        return [n]
+    parts, rest, a, b = [], n, 1, 2
+    while b <= n and rest > 1:
+        g = math.gcd(rest, b)
+        if g > 1:
+            part = 1
+            while g > 1:  # the full powers of g's primes
+                rest //= g
+                part *= g
+                g = math.gcd(rest, g)
+            parts.append(part)
+        a, b = b, a + b
+    return parts + [rest] if rest > 1 else parts
 
 
 def _split(n: int, mult: int, out: dict[int, int], budget: int) -> int:
@@ -783,6 +825,23 @@ class PiecewiseTau(_SplitTau):
 
     def _pick(self, p: int) -> TauSpec:
         return self.overrides.get(p, self.default)
+
+    def eval_mod(self, h: Sequence[int], n: int) -> int:
+        """h(tau) mod n with no factoring at the override primes, which are
+        known: each power of one is divided out of n and read from _tau,
+        and default.eval_mod answers for the cofactor."""
+        if n == 1 or len(h) <= 1:
+            return h[0] % n if h else 0
+        parts = []
+        for p in self.overrides:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                parts.append((p**e, _eval_mod(h, self._tau(p, e), p**e)))
+        parts.append((n, self.default.eval_mod(h, n)))
+        return crt_combine(parts)[0]
 
     @classmethod
     def _read(cls, data: Mapping, depth: int) -> TauSpec:

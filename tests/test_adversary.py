@@ -22,6 +22,7 @@ from quasieuclid import (
     integer_mod,
     log_generic,
     make_zero_on,
+    piecewise,
     stream,
     zero,
 )
@@ -232,6 +233,28 @@ def test_degree_retention_grid():
                 assert report.verdict, (tau.to_json(), k, str(b))
                 assert all(dg >= b.degree for dg in report.degrees)
                 assert len(report.degrees) == 2 * k
+
+
+B2 = RingElement((3, 1, 2))  # 2x^2 + x + 3
+
+
+@pytest.mark.parametrize(
+    "tau, k, b",
+    [
+        (stream(42), 60, B2),
+        (stream(42), 100, B2),
+        (log_generic(7), 100, X),
+        (log_generic(7), 100, B2),
+        (piecewise({2: constant(1)}, zero()), 1000, X),
+    ],
+    ids=["stream-60", "stream-100", "log_generic-100-x", "log_generic-100-b2", "piecewise-1000"],
+)
+def test_degree_retention_past_the_old_factoring_cliff(tau, k, b):
+    # the chain denominators hold products of Fibonacci numbers F_j, j <= 2k + 3,
+    # past rho's budget as a whole
+    ctx = RingContext(tau)
+    a = adversarial_pair(ctx, k, b)
+    assert degree_retention_check(ctx, k, a, b).verdict
 
 
 def test_degree_retention_rejects_foreign_pairs():

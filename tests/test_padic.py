@@ -180,6 +180,49 @@ def test_factorize_products_of_known_primes(parts):
     assert fac == tuple(sorted(expected.items()))
 
 
+def _fibonacci(j):
+    a, b = 0, 1
+    for _ in range(j):
+        a, b = b, a + b
+    return a
+
+
+# F_j as its primes with repetition.  Rho alone runs out of RHO_BUDGET on
+# some products of two of them and a few primes, such as the k = 60
+# example below.
+FIBONACCI_PRIMES = {
+    98: (13, 29, 97, 6168709, 599786069),
+    100: (3, 5, 5, 11, 41, 101, 151, 401, 3001, 570601),
+    107: (1247833, 8242065050061761),
+    113: (677, 272602401466814027129),
+    122: (4513, 555003497, 5600748293801),
+    123: (2, 2789, 59369, 68541957733949701),
+    131: (1066340417491710595814572169,),
+    151: (5737, 2811666624525811646469915877),
+    199: (397, 436782169201002048261171378550055269633),
+    202: (809, 7879, 743519377, 770857978613, 201062946718741),
+    203: (13, 1217, 514229, 56470541, 2586982700656733994659533),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(FIBONACCI_PRIMES)), st.sampled_from(sorted(FIBONACCI_PRIMES)), FACTORS)
+# the 248-bit denominator of the stream(42) adversary at k = 60
+@example(122, 123, ([], [(319571642447, 1), (2435387365007, 1)], []))
+@example(202, 202, ([(5, 2)], [], []))  # every prime of F_202 squared, beside 5^2
+def test_factorize_splits_off_fibonacci_parts(i, j, parts):
+    assert math.prod(FIBONACCI_PRIMES[i]) == _fibonacci(i)
+    assert math.prod(FIBONACCI_PRIMES[j]) == _fibonacci(j)
+    small, mid, large = parts
+    expected: dict[int, int] = {}
+    fibonacci = [(p, 1) for p in FIBONACCI_PRIMES[i] + FIBONACCI_PRIMES[j]]
+    for p, e in [*small, *mid, *((p, 1) for p in large), *fibonacci]:
+        expected[p] = expected.get(p, 0) + e
+    fac = factorize(math.prod(p**e for p, e in expected.items()))
+    assert all(is_prime(p) for p, _ in fac)
+    assert fac == tuple(sorted(expected.items()))
+
+
 def test_factorize_against_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(20260)
@@ -334,6 +377,47 @@ def _witness_reference(e, spec):
         if r:
             return p, v, r
     return None
+
+
+OVERRIDE_PRIMES = (2, 3, 7, 1009, 100003)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(OVERRIDE_PRIMES), spec_strategy(), min_size=1, max_size=3),
+    spec_strategy(),
+    st.lists(st.integers(-40, 40), max_size=5),
+    st.lists(st.integers(0, 6), min_size=len(OVERRIDE_PRIMES), max_size=len(OVERRIDE_PRIMES)),
+    st.integers(1, 5000),
+)
+def test_piecewise_eval_mod_is_crt_of_its_picks(overrides, default, h, exponents, cofactor):
+    spec = piecewise(overrides, default)
+    n = cofactor * math.prod(p**e for p, e in zip(OVERRIDE_PRIMES, exponents))
+    h = tuple(h)
+    expected = crt_combine(
+        (p**e, padic._eval_mod(h, spec._pick(p)._tau(p, e), p**e)) for p, e in factorize(n)
+    )[0]
+    assert spec.eval_mod(h, n) == expected
+
+
+def test_piecewise_eval_mod_factors_nothing_over_a_constant_default(monkeypatch):
+    # the cofactor (2^61 - 1)(10^18 + 9) is past the rho budget; the zero
+    # default reads it with one Horner pass
+    spec, h = piecewise({2: constant(1), 100003: stream(1)}, zero()), (1, 2, 3)
+    hard = (2**61 - 1) * (10**18 + 9)
+    at_100003 = padic._eval_mod(h, stream(1).query(100003, 3).value, 100003**3)
+    expected = crt_combine([(2**50, 6), (100003**3, at_100003), (hard, 1)])[0]
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) was called")
+
+    monkeypatch.setattr(padic, "factorize", refuse)
+    padic.TauSpec._tau.cache_clear()
+    assert spec.eval_mod(h, 2**50 * 100003**3 * hard) == expected
+    # the override residues are stored under the spec that was asked
+    spec.query(2, 50), spec.query(100003, 3)
+    info = padic.TauSpec._tau.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 # Fresh specs, one of each kind; the hensel one falls back at the primes
