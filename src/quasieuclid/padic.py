@@ -8,39 +8,32 @@ algebraic roots, and piecewise combinations), together with the supporting
 modular toolkit: polynomial evaluation mod p^k, Hensel lifting, and Chinese
 remaindering.
 
-TauSpec.eval_mod(h, n) is the one place that answers "what is h(tau) mod
-n?" for a composite n: it factors n, evaluates h at each prime power, and
-combines the residues by Chinese remaindering; a constant tau (zero too)
-needs one Horner pass mod n and never factors.  A piecewise spec divides
-out the powers of its override primes, which need no factoring, and hands
-the cofactor to its default's eval_mod, so over a constant default it
-never factors either.  Ring membership of h/n is eval_mod(h, n) == 0, and
-the divmod correction and integer_mod ask it too.
-Inside the library residues are plain ints from TauSpec._tau, which trusts
-its (prime, precision) arguments; query, poly_eval_mod and hensel_lift are
-the public edge, where p and k come from a caller: each checks them with
-_check_prime_power before any work and builds one ResidueClass, whose own
-check is the same function.
+TauSpec.eval_mod(h, n), the one answer to "what is h(tau) mod n?", is the
+Chinese remainder of TauSpec._parts(h, n): coprime parts of n with their
+residues of h(tau).  Each kind splits n its own way: the prime powers of
+factorize(n) in general, n whole for a constant tau (zero too), and for a
+piecewise spec the powers of its override primes, which need no factoring,
+then its default's parts of the rest.  Membership, the divmod correction,
+integer_mod and a non-member's witness all read these parts.  Inside the
+library residues are plain ints from TauSpec._tau, which trusts its (prime,
+precision); the public query, poly_eval_mod and hensel_lift check p and k
+with _check_prime_power and build one ResidueClass, whose own check is the
+same function.
 
-factorize trial-divides by the primes below 1000, splits a composite rest
-by gcds with the Fibonacci numbers below it, and splits each part with
-Pollard's rho in Brent's variant.  Rho has a budget of RHO_BUDGET
-iterations per call; past it, factorize raises FactorBudgetExceeded (a
-BudgetExceeded, which is a ValueError) instead of running on.  is_prime is
-exact below 3.3e24 and BPSW-probable above, and factorize trusts it on
-every cofactor.
+factorize trial-divides, splits the rest by gcds with Fibonacci numbers,
+then by Brent's rho, and raises FactorBudgetExceeded (a BudgetExceeded,
+so a ValueError) past RHO_BUDGET rho iterations.  is_prime is exact below
+3.3e24 and BPSW-probable above; factorize trusts it on every cofactor.
 
 Residues are memoized in two bounded lru_caches shared by every spec:
-TauSpec._tau keyed by (spec, p, k) and HenselTau._simple_root by (spec, p).
-Consumers (query, eval_mod, classify.scan_sh) read _tau.  A spec implements
-the uncached _residue, called with k >= 1; a composite spec returns the
-_residue of the spec it picks, so each residue is stored once, under the
-spec the caller asked for; only the cofactor that a piecewise eval_mod
-hands to its default is read under the default.  A scan touches each
-prime once, so only recent entries are read again.  A key holds its spec
-alive and specs hash by identity, so an entry never answers for a later
-spec.  Cached values are deterministic functions of their key and
-lru_cache is thread-safe, so concurrent readers may share a spec.
+TauSpec._tau by (spec, p, k) and HenselTau._simple_root by (spec, p).  A
+spec implements the uncached _residue, called with k >= 1; a composite
+spec returns the _residue of the spec it picks, so each residue is stored
+once, under the spec the caller asked for, but for the rest of n whose
+parts a piecewise spec takes from its default.  A key holds its spec alive
+and specs hash by identity, so an entry never answers for a later spec.
+Values are deterministic in their key and lru_cache is thread-safe, so
+concurrent readers may share a spec.
 """
 
 from __future__ import annotations
@@ -52,7 +45,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .poly import RingElement, _json, qdiv
 
@@ -590,17 +583,18 @@ class TauSpec(ABC):
         called only by _tau or by a composite spec's _residue."""
 
     def eval_mod(self, h: Sequence[int], n: int) -> int:
-        """h(tau) mod n for n >= 1: the value in [0, n) congruent to
-        h(tau_p) mod p^e for every prime power p^e exactly dividing n.
-
-        A constant h, or n = 1, needs no tau and no factoring.
-        """
+        """h(tau) mod n for n >= 1, the Chinese remainder of _parts; a
+        constant h, or n = 1, needs no tau and no factoring."""
         if n == 1 or len(h) <= 1:
             return h[0] % n if h else 0
-        value, _ = crt_combine(
-            (p**e, _eval_mod(h, self._tau(p, e), p**e)) for p, e in factorize(n)
-        )
-        return value
+        return crt_combine((q**v, r) for q, v, r in self._parts(h, n))[0]
+
+    def _parts(self, h: Sequence[int], n: int) -> Iterator[tuple[int, int, int]]:
+        """Coprime parts q^v of n >= 1 with product n, as (q, v, r) for
+        r = h(tau) mod q^v: q is a prime, or a part left whole with v = 1.
+        Here the prime powers of factorize(n)."""
+        for p, e in factorize(n):
+            yield p, e, _eval_mod(h, self._tau(p, e), p**e)
 
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
         """Whether this spec guarantees h(tau_p) = 0 in Z_p, so that
@@ -648,8 +642,8 @@ class ConstantTau(TauSpec):
     def _residue(self, p: int, k: int) -> int:
         return self.value % p**k
 
-    def eval_mod(self, h: Sequence[int], n: int) -> int:
-        return _eval_mod(h, self.value, n)
+    def _parts(self, h: Sequence[int], n: int) -> Iterator[tuple[int, int, int]]:
+        yield n, 1, _eval_mod(h, self.value, n)  # one Horner pass, n unfactored
 
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
         return _eval_int(h, self.value) == 0
@@ -826,22 +820,15 @@ class PiecewiseTau(_SplitTau):
     def _pick(self, p: int) -> TauSpec:
         return self.overrides.get(p, self.default)
 
-    def eval_mod(self, h: Sequence[int], n: int) -> int:
-        """h(tau) mod n with no factoring at the override primes, which are
-        known: each power of one is divided out of n and read from _tau,
-        and default.eval_mod answers for the cofactor."""
-        if n == 1 or len(h) <= 1:
-            return h[0] % n if h else 0
-        parts = []
-        for p in self.overrides:
+    def _parts(self, h: Sequence[int], n: int) -> Iterator[tuple[int, int, int]]:
+        for p in self.overrides:  # known primes: their powers need no factoring
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             if e:
-                parts.append((p**e, _eval_mod(h, self._tau(p, e), p**e)))
-        parts.append((n, self.default.eval_mod(h, n)))
-        return crt_combine(parts)[0]
+                yield p, e, _eval_mod(h, self._tau(p, e), p**e)
+        yield from self.default._parts(h, n)  # the rest, split as the default splits it
 
     @classmethod
     def _read(cls, data: Mapping, depth: int) -> TauSpec:

@@ -15,7 +15,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .chains import DivisionChain
-from .padic import BudgetExceeded, TauSpec, factorize
+from .padic import BudgetExceeded, FactorBudgetExceeded, TauSpec, factorize, is_prime
 from .poly import ONE, ZERO, RingElement, _const, _lincomb, _pdiv, _submul, as_element, qdiv
 
 # The step budget of gcd_bezout and the default one of qe_chain.  Chains
@@ -34,7 +34,9 @@ def _shown(x, what: str) -> str:
 
 
 class NotMemberError(ValueError):
-    """An element fails the residue condition at a prime of its denominator."""
+    """An element fails the residue condition: its numerator h has h(tau)
+    mod prime^precision = residue != 0, prime^precision exactly dividing the
+    denominator, or, past the rho budget, prime a composite part, precision 1."""
 
     def __init__(self, element: RingElement, prime: int, precision: int, residue: int):
         self.element = element
@@ -126,14 +128,25 @@ class RingContext:
     # -- membership -------------------------------------------------------
 
     def membership_witness(self, e: RingElement) -> tuple[int, int, int] | None:
-        """None when e belongs to the ring, else (p, v, residue) showing
-        the failed congruence at the prime p of the denominator; only a
-        failure factors it (h(tau) mod n reduced mod p^v is h(tau_p) mod p^v).
-        """
-        t = self.tau.eval_mod(e.num, e.den)
-        if t == 0:
-            return None
-        return next((p, v, t % p**v) for p, v in factorize(e.den) if t % p**v)
+        """None when e belongs to the ring, else (p, v, residue) for the
+        smallest failing prime p, p^v exactly dividing e's denominator, read
+        off the parts eval_mod combines.  Of a part m left whole it factors
+        only m / gcd(r, m), r = h(tau) mod m; past the rho budget, (m, 1, r)."""
+        failed = []
+        for q, v, r in self.tau._parts(e.num, e.den):
+            if r and not is_prime(q):
+                g = math.gcd(r, q)
+                try:
+                    p, v = factorize(q // g)[0]  # the failing primes of q
+                    while g % p == 0:  # v_p(q) = v + v_p(g)
+                        g //= p
+                        v += 1
+                    q, r = p, r % p**v
+                except FactorBudgetExceeded:
+                    pass  # q stays whole, named only if no prime fails
+            if r:
+                failed.append((q, v, r))
+        return min(failed, key=lambda w: (not is_prime(w[0]), w), default=None)
 
     def is_member(self, e) -> bool:
         e = as_element(e)
@@ -184,7 +197,7 @@ class RingContext:
                 quo = [r._den * c for c in quo]
             p = RingElement._from_normal(quo, den * q._den)  # P/m
             m = p._den
-            k = self.tau.eval_mod(p._num, m) if m > 1 else 0
+            k = self.tau.eval_mod(p._num, m)
             if k:
                 shifted = list(p._num)
                 shifted[0] -= k

@@ -521,6 +521,36 @@ def test_factoring_budget_exits_1_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+_HARD = (2**61 - 1) * (10**18 + 9)
+
+
+def test_non_member_under_a_constant_tau_names_its_failing_prime_without_rho(capsys, monkeypatch):
+    from quasieuclid import padic
+
+    def refuse(n, budget):
+        raise AssertionError(f"rho ran on {n}")
+
+    monkeypatch.setattr(padic, "_brent_rho", refuse)
+    code, out, err = run_cli(capsys, "divmod", "--tau", ZERO_TAU, f"(x+{_HARD})/{2 * _HARD}", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert err.endswith("is not in the ring: numerator evaluates to 1 mod 2^1, expected 0\n")
+
+
+def test_non_member_past_the_rho_budget_is_not_in_the_ring(capsys, monkeypatch):
+    from quasieuclid import padic
+
+    # a small budget stands in for the default one, which would take seconds
+    monkeypatch.setattr(padic, "RHO_BUDGET", 1000)
+    padic.factorize.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "divmod", "--tau", ONE_TAU, f"x/{_HARD}", "1")
+    finally:
+        padic.factorize.cache_clear()
+    assert (code, out) == (1, "")
+    assert err == f"error: x/{_HARD} is not in the ring: numerator evaluates to 1 mod {_HARD}^1, expected 0\n"
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
 def test_reader_closing_the_pipe_early_is_exit_1_without_traceback(flags):
     # tau_7 = 3 mod 7^100000 prints 100,000 digits, far more than a pipe holds

@@ -121,6 +121,111 @@ def test_constant_tau_never_factors(monkeypatch, tau, z):
     assert integer_mod(ctx, X + 3, SEMIPRIME) == z + 3
 
 
+# -- a non-member's witness reads the parts eval_mod combines --------------------
+
+# (2^61 - 1)(10^18 + 9): past the rho budget, and coprime to every s <= 5000
+HARD = (2**61 - 1) * (10**18 + 9)
+
+
+def _smallest_failing_prime(e, spec, s):
+    """(p, v, r) for the smallest prime p of s at which e fails, p^v exactly
+    dividing e.den, or None; no factoring of e.den."""
+    for p, _ in factorize(s):
+        v = 0
+        while e.den % p ** (v + 1) == 0:
+            v += 1
+        r = poly_eval_mod(e.num, spec, p, v).value if v else 0
+        if r:
+            return p, v, r
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-20, 20),
+    st.sampled_from(["constant", "zero", "piecewise"]),
+    st.dictionaries(
+        st.sampled_from((2, 3, 5, 7, 4999)),
+        st.one_of(st.integers(-9, 9).map(constant), st.integers(0, 10**6).map(stream)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(st.integers(-9, 9), max_size=3),
+    st.integers(-9, 9),
+    st.integers(1, 5000),
+)
+def test_witness_factors_only_the_failing_primes(c, kind, overrides, g, u, s):
+    # h = (x - c)*g + HARD*u, so HARD divides h(c): only primes of s can fail
+    if kind == "zero":
+        c = 0
+    default = zero() if kind == "zero" else constant(c)
+    spec = piecewise(overrides, default) if kind == "piecewise" else default
+    h = (X - c) * RingElement(tuple(g) or (0,)) + as_element(HARD * u)
+    e = RingElement(h.num, s * HARD)
+    ctx = RingContext(spec)
+    want = _smallest_failing_prime(e, spec, s)
+
+    def refuse(n, budget):
+        raise AssertionError(f"rho ran on {n}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(padic, "_brent_rho", refuse)
+        assert ctx.membership_witness(e) == want
+        if want is not None:
+            with pytest.raises(NotMemberError, match=rf"mod {want[0]}\^{want[1]}, expected 0$") as info:
+                ctx.make_element(e)
+            assert (info.value.prime, info.value.precision, info.value.residue) == want
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [stream(42), hensel((-2, 0, 1), stream(3)), piecewise({2: constant(1), 7: zero()}, stream(3))],
+    ids=repr,
+)
+def test_witness_factors_nothing_beyond_eval_mod(monkeypatch, tau):
+    calls = []
+    real = factorize
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr("quasieuclid.padic.factorize", counting)
+    monkeypatch.setattr("quasieuclid.ring.factorize", counting)
+    ctx = RingContext(tau)
+    e = RingElement((1, 2, 3), 2**3 * 3**2 * 5 * 7 * 101 * 10007)
+    assert ctx.tau.eval_mod(e.num, e.den) != 0
+    made = len(calls)
+    assert made == 1
+    calls.clear()
+    assert ctx.membership_witness(e) is not None
+    assert len(calls) == made
+
+
+def test_witness_past_the_rho_budget_names_the_failing_part(monkeypatch):
+    # a small budget stands in for the default one, which would take seconds
+    monkeypatch.setattr(padic, "RHO_BUDGET", 1000)
+    padic.factorize.cache_clear()
+    try:
+        ctx = RingContext(zero())
+        # h(0) = HARD mod HARD^2: the failing primes are those of HARD, which
+        # divides the residue, so the witness is the whole part HARD^2
+        e = RingElement((HARD, 1), HARD**2)
+        assert ctx.membership_witness(e) == (HARD**2, 1, HARD)
+        with pytest.raises(NotMemberError, match="is not in the ring") as info:
+            ctx.make_element(e)
+        assert (info.value.prime, info.value.precision, info.value.residue) == (HARD**2, 1, HARD)
+        assert "rho" not in str(info.value)
+        # a failing prime elsewhere is named before the unfactored part
+        piece = RingContext(piecewise({3: constant(1)}, zero()))
+        assert piece.membership_witness(RingElement((HARD, 1), 3 * HARD**2)) == (3, 1, (HARD + 1) % 3)
+        # under a spec that factors the whole denominator, the budget still ends it
+        with pytest.raises(padic.FactorBudgetExceeded):
+            RingContext(stream(42)).membership_witness(RingElement((0, 1), HARD))
+    finally:
+        padic.factorize.cache_clear()
+
+
 # -- phi ------------------------------------------------------------------------
 
 
