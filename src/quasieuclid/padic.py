@@ -298,12 +298,13 @@ def crt_combine(parts: Iterable[tuple[int, int]]) -> tuple[int, int]:
     for m, r in parts:
         if m <= 0:
             raise ValueError(f"modulus must be positive, got {m}")
-        if math.gcd(m, modulus) != 1:
+        if modulus == 1:
+            value, modulus = r % m, m
+        elif math.gcd(m, modulus) != 1:
             raise ValueError("moduli are not pairwise coprime")
-        t = ((r - value) * pow(modulus, -1, m)) % m
-        value += modulus * t
-        modulus *= m
-    return value % modulus, modulus
+        else:
+            value, modulus = value + modulus * ((r - value) * pow(modulus, -1, m) % m), modulus * m
+    return value, modulus
 
 
 def _eval_int(coeffs: Sequence[int], x: int) -> int:

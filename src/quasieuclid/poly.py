@@ -22,13 +22,6 @@ from itertools import zip_longest
 from typing import Iterable, Sequence
 
 
-def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
 @total_ordering
 class RingElement:
     """A polynomial h/n with h integer and n a positive integer.
@@ -53,14 +46,9 @@ class RingElement:
                 scale = scale * c.denominator // math.gcd(scale, c.denominator)
             elif not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
-        if scale != 1:
-            num = [int(c * scale) for c in raw]
-            den *= scale
-        else:
-            num = [int(c) for c in raw]
+        num, den = [int(c * scale) for c in raw], den * scale
         if den < 0:
-            den = -den
-            num = [-c for c in num]
+            den, num = -den, [-c for c in num]
         e = self._from_normal(num, den)
         self._num: tuple[int, ...] = e._num
         self._den: int = e._den
@@ -68,18 +56,19 @@ class RingElement:
     @classmethod
     def _from_normal(cls, num: Sequence[int], den: int) -> "RingElement":
         """The element num/den for int coefficients and den > 0, with no
-        validation: strips trailing zeros and divides out gcd(content, den).
-        Every result built inside the library comes through here."""
-        tup = _strip(num)
-        e = object.__new__(cls)
-        if not tup:
-            e._num, e._den = (), 1
-            return e
-        g = math.gcd(den, *tup)
+        validation: drops trailing zeros by index, divides out gcd(content,
+        den) unless den = 1, and builds one tuple.  Every result built
+        inside the library comes through here."""
+        n = len(num)
+        while n and not num[n - 1]:
+            n -= 1
+        if n < len(num):
+            num = num[:n]
+        g = math.gcd(den, *num) if den != 1 else 1  # den itself when num is zero
         if g > 1:
-            tup = tuple(c // g for c in tup)
-            den //= g
-        e._num, e._den = tup, den
+            num, den = [c // g for c in num], den // g
+        e = object.__new__(cls)
+        e._num, e._den = tuple(num), den
         return e
 
     # -- structure ---------------------------------------------------------

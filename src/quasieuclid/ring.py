@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import groupby
 from typing import NamedTuple
 
 from .chains import DivisionChain
-from .padic import BudgetExceeded, FactorBudgetExceeded, TauSpec, factorize, is_prime
+from .padic import _TRIAL_PRIMES, BudgetExceeded, FactorBudgetExceeded, TauSpec, factorize, is_prime
 from .poly import ONE, ZERO, RingElement, _const, _lincomb, _pdiv, _submul, as_element, qdiv
 
 # The step budget of gcd_bezout and the default one of qe_chain.  Chains
@@ -130,23 +129,30 @@ class RingContext:
     def membership_witness(self, e: RingElement) -> tuple[int, int, int] | None:
         """None when e belongs to the ring, else (p, v, residue) for the
         smallest failing prime p, p^v exactly dividing e's denominator, read
-        off the parts eval_mod combines.  Of a part m left whole it factors
-        only m / gcd(r, m), r = h(tau) mod m; past the rho budget, (m, 1, r)."""
-        failed = []
+        off the parts eval_mod combines.  Of a part m left whole it seeks the
+        least prime of m / gcd(r, m), r = h(tau) mod m, by trial division
+        below every failing prime found so far, and factors m / gcd(r, m)
+        only past the trial primes; past the rho budget, (m, 1, r)."""
+        failed, whole, left = [], [], []
         for q, v, r in self.tau._parts(e.num, e.den):
-            if r and not is_prime(q):
-                g = math.gcd(r, q)
-                try:
-                    p, v = factorize(q // g)[0]  # the failing primes of q
-                    while g % p == 0:  # v_p(q) = v + v_p(g)
-                        g //= p
-                        v += 1
-                    q, r = p, r % p**v
-                except FactorBudgetExceeded:
-                    pass  # q stays whole, named only if no prime fails
             if r:
-                failed.append((q, v, r))
-        return min(failed, key=lambda w: (not is_prime(w[0]), w), default=None)
+                (failed if is_prime(q) else whole).append((q, v, r))
+        for q, v, r in whole:
+            bound = min(failed, default=(q,))[0]  # the least failing prime so far, else q
+            n = q // math.gcd(r, q)  # its primes are the failing primes of q
+            p = next((p for p in _TRIAL_PRIMES if p >= bound or n % p == 0), None)
+            try:
+                p = p or factorize(n)[0][0]
+            except FactorBudgetExceeded:
+                left.append((q, v, r))  # q stays whole, named only if no prime fails
+                continue
+            if p < bound:
+                v = 0
+                while q % p == 0:
+                    q //= p
+                    v += 1
+                failed.append((p, v, r % p**v))
+        return min(failed or left, default=None)
 
     def is_member(self, e) -> bool:
         e = as_element(e)
@@ -167,15 +173,14 @@ class RingContext:
 
         Both inputs must be ring members with r != 0 (not checked); the
         outputs are then members as well, matching integer div/mod
-        semantics.  A step only chooses p; s = q - p*r is then one fused
-        pass for every step.  When deg q = deg r the quotient is a constant,
-        the integer c = floor(lc q / lc r), tau plays no part, and s = q -
-        c*r is one poly._lincomb.  Otherwise one pseudo-division gives the
-        Q[x] quotient P/m in lowest terms, p = (P - k)/m for k = P(tau) mod
-        m in [0, m), and s is one poly._submul.  s < 0 can
-        happen only when k = 0 (at equal degree: lc q / lc r an integer),
-        and then (p - 1, s + r) is the answer.  A negative r divides by -r
-        and negates the quotient.
+        semantics.  Up to deg r the quotient is an integer, c = floor(lc q /
+        lc r) at equal degree and 0 below it, tau plays no part, and s = q -
+        c*r is one poly._lincomb; when s < 0 (c exact, or q < 0 below deg
+        r) the answer is (c - 1, q - (c - 1)*r).  Past deg r, one
+        pseudo-division gives the Q[x] quotient P/m, put in lowest terms by
+        hand, p = (P - k)/m for k = P(tau) mod m in [0, m) is built once, s
+        is one poly._submul, and when s < 0 (only if k = 0) the answer is
+        (p - 1, s + r).  A negative r divides by -r and negates p.
         """
         q, r = as_element(q), as_element(r)
         if r.is_zero:
@@ -183,26 +188,27 @@ class RingContext:
         return self._divmod(q, r)
 
     def _divmod(self, q: RingElement, r: RingElement) -> tuple[RingElement, RingElement]:
-        # divmod on elements q and r != 0, unchecked: the chain loop's step
+        # divmod on elements q and r != 0, unchecked: the chain loop's step (see divmod)
         qn, rn = q._num, r._num
         if rn[-1] < 0:
             p, s = self._divmod(q, -r)
             return -p, s
-        if len(qn) == len(rn):
-            c = qn[-1] * r._den // (q._den * rn[-1])
-            p, s = _const(c), _lincomb(1, q, -c, r)
-        else:
-            quo, _, den = _pdiv(qn, rn)
-            if r._den != 1:
-                quo = [r._den * c for c in quo]
-            p = RingElement._from_normal(quo, den * q._den)  # P/m
-            m = p._den
-            k = self.tau.eval_mod(p._num, m)
-            if k:
-                shifted = list(p._num)
-                shifted[0] -= k
-                p = RingElement._from_normal(shifted, m)
-            s = _submul(q, p, r)
+        if len(qn) <= len(rn):
+            c = qn[-1] * r._den // (q._den * rn[-1]) if len(qn) == len(rn) else 0
+            s = _lincomb(1, q, -c, r) if c else q
+            if s._num and s._num[-1] < 0:
+                c, s = c - 1, _lincomb(1, q, 1 - c, r)
+            return _const(c), s
+        quo, _, m = _pdiv(qn, rn)
+        m *= q._den
+        if r._den != 1:
+            quo = [r._den * c for c in quo]
+        g = math.gcd(m, *quo)
+        if g > 1:
+            quo, m = [c // g for c in quo], m // g
+        quo[0] -= self.tau.eval_mod(quo, m)
+        p = RingElement._from_normal(quo, m)
+        s = _submul(q, p, r)
         if s._num and s._num[-1] < 0:
             return p - ONE, s + r
         return p, s
@@ -280,14 +286,15 @@ class RingContext:
 
         Half-extended: g is the last nonzero remainder of the chain from
         (a, b), whose quotients but the last carry only the cofactor of a,
-        u <- u_prev - p*u, with each stretch of integer quotients folded
-        into one 2x2 matrix by _combine; v = (g - u*a)/b is one exact
-        division at the end (Knuth, TAOCP vol. 2, 4.5.2, the remark after
-        Algorithm X).  On integers this reproduces the extended Euclidean
-        algorithm exactly.  The chain is the context's last one when the
-        pair was just chained; one past CHAIN_STEPS_MAX quotients raises
-        StepBudgetExceeded.  A non-member a or b raises NotMemberError,
-        b = 0 included.
+        u <- u_prev - p*u: one walk gathers each stretch of integer
+        quotients into a list that _combine folds into one 2x2 matrix, and
+        takes each polynomial quotient with one poly._submul.  v = (g -
+        u*a)/b is one exact division at the end (Knuth, TAOCP vol. 2, 4.5.2,
+        the remark after Algorithm X).  On integers this reproduces the
+        extended Euclidean algorithm exactly.  The chain is the context's
+        last one when the pair was just chained; one past CHAIN_STEPS_MAX
+        quotients raises StepBudgetExceeded.  A non-member a or b raises
+        NotMemberError, b = 0 included.
         """
         a, b = as_element(a), as_element(b)
         if a.is_zero and b.is_zero:
@@ -296,14 +303,17 @@ class RingContext:
             g, u, v = self.make_element(a), ONE, ZERO
         else:
             chain, g = self._chain(a, b, CHAIN_STEPS_MAX)
-            u_prev, u = ONE, ZERO
-            quots = chain.quotients[:-1]
-            for ints, stretch in groupby(quots, lambda p: p._den == 1 and len(p._num) < 2):
+            u_prev, u, ints = ONE, ZERO, []
+            for p in chain.quotients[:-1]:
+                if p._den == 1 and len(p._num) < 2:
+                    ints.append(p._num[0] if p._num else 0)
+                    continue
                 if ints:
-                    u_prev, u = _combine([p._num[0] if p._num else 0 for p in stretch], u_prev, u)
-                else:
-                    for p in stretch:
-                        u_prev, u = u, _submul(u_prev, p, u)
+                    u_prev, u = _combine(ints, u_prev, u)
+                    ints = []
+                u_prev, u = u, _submul(u_prev, p, u)
+            if ints:
+                u_prev, u = _combine(ints, u_prev, u)
             v, rem = qdiv(_submul(g, u, a), b)
             if not rem.is_zero:
                 raise RuntimeError("Bezout cofactor v is not exact (bug)")

@@ -695,6 +695,20 @@ def test_crt_empty():
     assert crt_combine([]) == (0, 1)
 
 
+@pytest.mark.parametrize("m, r", [(1, 0), (1, 5), (1, -3), (7, -1), (7, -15), (7, 7), (7, 23), (9, 4)])
+def test_crt_single_part_is_its_residue(m, r):
+    assert crt_combine([(m, r)]) == (r % m, m)
+    # a modulus-1 first part leaves the next part as it is
+    assert crt_combine([(1, r), (m, r + 1)]) == ((r + 1) % m, m)
+
+
+@pytest.mark.parametrize("m", [0, -1, -7])
+def test_crt_rejects_a_nonpositive_first_modulus(m):
+    for parts in ([(m, 1)], [(m, 0), (5, 2)]):
+        with pytest.raises(ValueError, match=f"^modulus must be positive, got {m}$"):
+            crt_combine(parts)
+
+
 # -- floor(ln p) for log_generic ----------------------------------------------------
 
 

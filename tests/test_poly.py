@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -65,6 +66,31 @@ def test_rejects_floats():
         RingElement((1.5,), 2)
     with pytest.raises(TypeError):
         RingElement((1,), Fraction(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-(2**70), 2**70), max_size=6),
+    st.integers(0, 3),
+    st.one_of(st.just(1), st.integers(1, 10**6)),
+    st.one_of(st.just(1), st.integers(2, 30)),
+    st.booleans(),
+)
+def test_from_normal_matches_the_constructor(coeffs, zeros, den, shared, as_tuple):
+    # trailing zeros, a content that shares the factor `shared` with den,
+    # and den = 1, each from a list or a tuple, which is left as it was
+    num = [c * shared for c in coeffs] + [0] * zeros
+    den *= shared
+    given_num = tuple(num) if as_tuple else list(num)
+    e = RingElement._from_normal(given_num, den)
+    assert list(given_num) == num
+    want = RingElement(num, den)
+    assert e == want and (e.num, e.den) == (want.num, want.den)
+    assert type(e.num) is tuple and e.den >= 1
+    assert not e.num or (e.num[-1] != 0 and math.gcd(e.den, *e.num) == 1)
+    assert e.num or e.den == 1
+    assert [Fraction(c, e.den) for c in e.num] == [Fraction(c, den) for c in num][: len(e.num)]
+    assert all(c == 0 for c in num[len(e.num) :])
 
 
 # -- conventions ---------------------------------------------------------------

@@ -226,6 +226,35 @@ def test_witness_past_the_rho_budget_names_the_failing_part(monkeypatch):
         padic.factorize.cache_clear()
 
 
+@pytest.mark.parametrize(
+    "overrides, num, den, want",
+    [
+        # x/6N: the override fails at 2, and the default's part 3N has no smaller prime
+        ({2: constant(1)}, (0, 1), 6 * HARD, (2, 1, 1)),
+        # (x + 1)/40N: the override fails at 5, the default's part 8N already at 2
+        ({5: constant(1)}, (1, 1), 40 * HARD, (2, 3, 2)),
+        # x/3027N: the override fails at 1009, past the trial primes; the default's part 3N at 3
+        ({1009: constant(1)}, (0, 1), 3 * 1009 * HARD, (3, 1, 1)),
+    ],
+    ids=["override-2-part-3N", "override-5-part-8N", "override-1009-part-3N"],
+)
+def test_a_failed_prime_bounds_the_search_of_a_whole_part(monkeypatch, overrides, num, den, want):
+    # N = HARD is past the rho budget: no part of the answer may need rho
+    calls = []
+
+    def spy(n, budget):
+        calls.append(n)
+        raise padic.FactorBudgetExceeded(f"rho ran on {n}")
+
+    monkeypatch.setattr(padic, "_brent_rho", spy)
+    ctx = RingContext(piecewise(overrides, constant(1)))
+    e = RingElement(num, den)
+    assert ctx.membership_witness(e) == want
+    with pytest.raises(NotMemberError, match=rf"mod {want[0]}\^{want[1]}, expected 0$"):
+        ctx.make_element(e)
+    assert calls == []
+
+
 # -- phi ------------------------------------------------------------------------
 
 
