@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Each subcommand's parser carries its handler, which main calls.  The parser
-turns every argument into a value (a polynomial, a norm table) before any
-ring work starts, so a usage error costs no factoring.  Every subcommand
-has a plain-text rendering and a JSON twin (--json) with the same numeric
-content.  Exit codes: 0 success, 1 domain error (reported as an error
-object in JSON mode) or stdout closed by its reader, 2 usage error.
+turns every argument into a value (a polynomial) before any ring work
+starts, so a usage error costs no factoring.  Every subcommand has a
+plain-text rendering and a JSON twin (--json) with the same numeric content.
+Exit codes: 0 success, 1 domain error (reported as an error object in JSON
+mode) or stdout closed by its reader, 2 usage error.
 """
 
 from __future__ import annotations
@@ -88,11 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("adversary", _cmd_adversary, "degree-retaining pair and its report")
     p.add_argument("k", type=int)
     p.add_argument("b", type=_parse)
-    p.add_argument(
-        "--norm-file",
-        type=_norm_table,
-        help="JSON norm table {element: value}; walks its descent over canonical remainders",
-    )
 
     p = add("scan", _cmd_scan, "residue-zero scan over a prime box")
     p.add_argument("h", type=_parse)
@@ -118,27 +113,20 @@ def _load_tau(args) -> TauSpec:
     if len(given) > 1:
         raise UsageError(f"{' and '.join(given)} are mutually exclusive")
     if args.tau_file is not None:
-        data = _read_json(args.tau_file, "cannot read tau file", "bad tau spec")
+        try:
+            with open(args.tau_file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read tau file: {exc}")
     elif args.tau is not None:
-        data = _decode_json(args.tau, "bad tau spec")
+        text = args.tau
     else:
         return zero() if args.seed is None else stream(args.seed)
+    data = _decode_json(text, "bad tau spec")
     try:
         return tau_from_json(data)
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad tau spec: {exc}")
-
-
-def _read_json(path: str, unreadable: str, malformed: str):
-    """The JSON value in the UTF-8 file at path; a file that cannot be read
-    or decoded is a UsageError led by unreadable, bad JSON one led by
-    malformed."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"{unreadable}: {exc}")
-    return _decode_json(text, malformed)
 
 
 def _decode_json(text: str, malformed: str):
@@ -174,25 +162,6 @@ def _parse(text: str) -> RingElement:
         return parse_element(text)
     except ParseError as exc:
         raise UsageError(f"bad polynomial {text!r}: {exc}")
-
-
-def _norm_table(path: str) -> dict[RingElement, int]:
-    """The --norm-file table {element: norm}: a JSON object whose keys name
-    distinct elements and whose values are non-negative integers."""
-    table = _read_json(path, "cannot read norm table", "cannot read norm table")
-    if not isinstance(table, dict):
-        raise UsageError("norm table must be a JSON object {element: value}")
-    norms, keys = {}, {}
-    for text, value in table.items():
-        if type(value) is not int:
-            raise UsageError(f"norm of {text!r} must be an integer, got {value!r}")
-        if value < 0:
-            raise UsageError(f"norm of {text!r} must be non-negative, got {value}")
-        e = _parse(text)
-        if e in keys:
-            raise UsageError(f"norm table keys {keys[e]!r} and {text!r} name the same element")
-        keys[e], norms[e] = text, value
-    return norms
 
 
 # -- subcommand handlers: each returns (json_payload, text_lines) ------------
@@ -273,37 +242,6 @@ def _cmd_compare(ctx, args):
     return report, lines
 
 
-def _norm_descent_demo(ctx, args, report) -> tuple[dict, list[str]]:
-    # each step moves to a table element of strictly smaller norm, so the walk
-    # ends within len(table) steps
-    norms = args.norm_file
-    lines = ["norm-table walk (a finite table cannot sustain the descent):"]
-    trail = []
-    a, b = report.a, report.b
-    if b not in norms:
-        lines.append(f"  N({_fmt(b)}) is not in the table; walk stops here")
-        verdict = "table exhausted"
-    else:
-        while True:
-            options = enumerate(ctx.qe_chain(a, b).remainders[: args.k], start=1)
-            nb = norms[b]
-            lines.append(f"  b = {_fmt(b)}, N(b) = {nb}, a = {_fmt(a)}")
-            pick = next(((l, r) for l, r in options if norms.get(r, nb) < nb), None)
-            if pick is None:
-                break
-            l, b = pick
-            lines.append(f"  take r_{l} = {_fmt(b)} with N = {norms[b]} < {nb}")
-            trail.append(b)
-            a = adv.adversarial_pair(ctx, args.k, b)
-        lines.append(
-            "  no remainder among r_1..r_k of the canonical chain has a smaller"
-            " table norm (one missing from the table counts as not smaller)"
-        )
-        verdict = "no smaller canonical remainder"
-    lines.append(f"  verdict: {verdict}")
-    return {"trail": trail, "verdict": verdict}, lines
-
-
 def _cmd_adversary(ctx, args):
     a = adv.adversarial_pair(ctx, args.k, args.b)
     report = adv.degree_retention_check(ctx, args.k, a, args.b)
@@ -314,10 +252,7 @@ def _cmd_adversary(ctx, args):
         f"degrees of first {2 * report.k} remainders: {list(report.degrees)}",
         f"verdict: {'true' if report.verdict else 'false'}",
     ]
-    if args.norm_file is None:
-        return report, lines
-    walk, walk_lines = _norm_descent_demo(ctx, args, report)
-    return {**report.to_json(), "norm_walk": walk}, lines + walk_lines
+    return report, lines
 
 
 def _cmd_scan(ctx, args):

@@ -22,6 +22,12 @@ from .poly import ONE, ZERO, RingElement, _const, _lincomb, _pdiv, _submul, as_e
 # 10,000 quotients.
 CHAIN_STEPS_MAX = 10_000
 
+# membership_witness trial-divides a part left whole past the trial primes
+# by the odd numbers below the least failing prime found so far, when that
+# prime is at most this: about 2^15 divisions, a small share of what rho's
+# budget may spend proving that no smaller prime divides the part.
+_WITNESS_TRIAL_MAX = 2**16
+
 
 def _shown(x, what: str) -> str:
     """str(x), or, when x holds an integer past the interpreter's limit for
@@ -131,8 +137,8 @@ class RingContext:
         smallest failing prime p, p^v exactly dividing e's denominator, read
         off the parts eval_mod combines.  Of a part m left whole it seeks the
         least prime of m / gcd(r, m), r = h(tau) mod m, by trial division
-        below every failing prime found so far, and factors m / gcd(r, m)
-        only past the trial primes; past the rho budget, (m, 1, r)."""
+        below every failing prime found so far, up to _WITNESS_TRIAL_MAX, and
+        factors m / gcd(r, m) only past that; past the rho budget, (m, 1, r)."""
         failed, whole, left = [], [], []
         for q, v, r in self.tau._parts(e.num, e.den):
             if r:
@@ -141,6 +147,9 @@ class RingContext:
             bound = min(failed, default=(q,))[0]  # the least failing prime so far, else q
             n = q // math.gcd(r, q)  # its primes are the failing primes of q
             p = next((p for p in _TRIAL_PRIMES if p >= bound or n % p == 0), None)
+            if p is None and bound <= _WITNESS_TRIAL_MAX:
+                # no trial prime divides n, so its least divisor past them is prime
+                p = next((d for d in range(_TRIAL_PRIMES[-1] + 2, bound, 2) if n % d == 0), bound)
             try:
                 p = p or factorize(n)[0][0]
             except FactorBudgetExceeded:

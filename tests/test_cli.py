@@ -363,87 +363,6 @@ def test_tau_json_override_keys_are_canonical(key):
     assert "Traceback" not in proc.stderr
 
 
-def test_norm_walk_demo(capsys, tmp_path):
-    table = {"x": 5, "2x/3": 4}
-    path = tmp_path / "norms.json"
-    path.write_text(json.dumps(table))
-    code, out, _ = run_cli(
-        capsys, "adversary", "--tau", ZERO_TAU, "1", "x", "--norm-file", str(path)
-    )
-    assert code == 0
-    assert "norm-table walk" in out
-    assert "no smaller canonical remainder" in out or "table exhausted" in out
-
-
-_NO_SMALLER = (
-    "  no remainder among r_1..r_k of the canonical chain has a smaller"
-    " table norm (one missing from the table counts as not smaller)"
-)
-
-
-@pytest.mark.parametrize(
-    "table, walk_lines, walk_json",
-    [
-        # 5x/3 = 2*x + (-x/3) is a 1-stage chain to a remainder of norm 1 < 5,
-        # so the table is not refuted: only the canonical remainder 2x/3,
-        # missing from the table, was checked
-        (
-            {"x": 5, "-x/3": 1},
-            ["  b = x, N(b) = 5, a = 5*x/3", _NO_SMALLER, "  verdict: no smaller canonical remainder"],
-            {"trail": [], "verdict": "no smaller canonical remainder"},
-        ),
-        (
-            {"x": 5, "2x/3": 4},
-            [
-                "  b = x, N(b) = 5, a = 5*x/3",
-                "  take r_1 = 2*x/3 with N = 4 < 5",
-                "  b = 2*x/3, N(b) = 4, a = 10*x/9",
-                _NO_SMALLER,
-                "  verdict: no smaller canonical remainder",
-            ],
-            {"trail": [{"den": 3, "num": [0, 2]}], "verdict": "no smaller canonical remainder"},
-        ),
-        (
-            {"2x": 1},
-            ["  N(x) is not in the table; walk stops here", "  verdict: table exhausted"],
-            {"trail": [], "verdict": "table exhausted"},
-        ),
-    ],
-    ids=["other_quotient_descends", "descent_then_stop", "exhausted"],
-)
-def test_norm_walk_verdicts_claim_only_what_was_checked(capsys, tmp_path, table, walk_lines, walk_json):
-    path = tmp_path / "norms.json"
-    path.write_text(json.dumps(table))
-    argv = ["adversary", "--tau", '{"kind":"zero"}', "1", "x", "--norm-file", str(path)]
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    lines = out.splitlines()
-    start = lines.index("norm-table walk (a finite table cannot sustain the descent):")
-    assert lines[start + 1 :] == walk_lines
-    assert "refuted" not in out
-    code, out, _ = run_cli(capsys, *argv, "--json")
-    assert code == 0
-    assert json.loads(out)["norm_walk"] == walk_json
-
-
-def test_norm_walk_reuses_the_reported_pair(capsys, tmp_path, monkeypatch):
-    seen = []
-    pair = adv.adversarial_pair
-
-    def recording(ctx, k, b):
-        seen.append(b)
-        return pair(ctx, k, b)
-
-    monkeypatch.setattr(adv, "adversarial_pair", recording)
-    path = tmp_path / "norms.json"
-    path.write_text(json.dumps({"x": 5, "2x/3": 4}))
-    code, _, _ = run_cli(capsys, "adversary", "--tau", ZERO_TAU, "1", "x", "--norm-file", str(path))
-    assert code == 0
-    # once for the report, once for the walk's second b; the first b's
-    # pair is the report's own
-    assert seen == [parse_element("x"), parse_element("2x/3")]
-
-
 @pytest.mark.parametrize("bad", [True, 2.5, "3"], ids=["bool", "float", "str"])
 @pytest.mark.parametrize(
     "build",
@@ -460,28 +379,6 @@ def test_tau_json_integer_fields_are_strict(build, bad):
     assert proc.returncode == 2
     assert "bad tau spec" in proc.stderr
     assert "Traceback" not in proc.stderr
-
-
-@pytest.mark.parametrize(
-    "table, message",
-    [
-        ([["x", 5]], "must be a JSON object"),
-        ({"x": 2.5}, "must be an integer"),
-        ({"x": "abc"}, "must be an integer"),
-        ({"x": -1}, "norm of 'x' must be non-negative, got -1"),
-        ({"x": 5, "2x/3": 4, "1*x": 1}, "norm table keys 'x' and '1*x' name the same element"),
-    ],
-    ids=["list", "float", "str", "negative", "one_element_twice"],
-)
-def test_norm_file_rejects_bad_shapes(capsys, tmp_path, table, message):
-    path = tmp_path / "norms.json"
-    path.write_text(json.dumps(table))
-    code, out, err = run_cli(
-        capsys, "adversary", "--tau", ZERO_TAU, "1", "x", "--norm-file", str(path)
-    )
-    assert code == 2
-    assert out == ""
-    assert message in err
 
 
 def test_leading_minus_polynomial_after_double_dash(capsys):
@@ -711,15 +608,20 @@ def test_member_past_the_print_limit_exits_0_from_the_command_line(json_flag):
     assert "Traceback" not in proc.stderr
 
 
-def test_norm_file_integer_past_the_digit_limit_is_usage_error(capsys, tmp_path):
-    path = tmp_path / "norms.json"
-    path.write_text('{"x": ' + "9" * (sys.get_int_max_str_digits() + 1) + "}")
-    code, out, err = run_cli(
-        capsys, "adversary", "--tau", ZERO_TAU, "1", "x", "--norm-file", str(path)
-    )
+def test_tau_file_integer_past_the_digit_limit_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "tau.json"
+    path.write_text('{"kind":"constant","value":' + "9" * (sys.get_int_max_str_digits() + 1) + "}")
+    code, out, err = run_cli(capsys, "member", "--tau-file", str(path), "x/2")
     assert code == 2
     assert out == ""
-    assert "cannot read norm table" in err
+    assert "bad tau spec" in err
+
+
+def test_norm_file_is_an_unrecognized_argument(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["adversary", "--tau", '{"kind":"zero"}', "1", "x", "--norm-file", "t.json"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --norm-file t.json" in capsys.readouterr().err
 
 
 # -- parser nesting and the JSON file readers -----------------------------------
@@ -748,34 +650,23 @@ def test_long_runs_of_signs_parse(signs, expected):
 
 
 _TAU_FILE = ("member", "x/2", "--tau-file")
-_NORM_FILE = ("adversary", "--tau", ZERO_TAU, "1", "x", "--norm-file")
 
 
 @pytest.mark.parametrize(
     "argv, content, message",
     [
         (_TAU_FILE, b"[" * 100_000, "error: bad tau spec: maximum recursion depth exceeded"),
-        (_NORM_FILE, b"[" * 100_000, "error: cannot read norm table: maximum recursion depth exceeded"),
         (_TAU_FILE, b"\xff\xfe", "error: cannot read tau file: 'utf-8' codec can't decode"),
-        (_NORM_FILE, b"\xff\xfe", "error: cannot read norm table: 'utf-8' codec can't decode"),
         (_TAU_FILE, b'{"kind":', "error: bad tau spec: Expecting value"),
-        (_NORM_FILE, b'{"x":', "error: cannot read norm table: Expecting value"),
         (_TAU_FILE, None, "error: cannot read tau file: [Errno"),
-        (_NORM_FILE, None, "error: cannot read norm table: [Errno"),
         (_TAU_FILE, b'{"kind":"constant","value":0,"value":1}', "error: bad tau spec: duplicate key 'value'"),
-        (_NORM_FILE, b'{"x": 5, "x": 1}', "error: cannot read norm table: duplicate key 'x'"),
     ],
     ids=[
         "tau-nested-too-deep",
-        "norm-nested-too-deep",
         "tau-not-utf-8",
-        "norm-not-utf-8",
         "tau-malformed",
-        "norm-malformed",
         "tau-missing",
-        "norm-missing",
         "tau-duplicate-key",
-        "norm-duplicate-key",
     ],
 )
 def test_json_files_that_cannot_be_read_are_usage_errors(tmp_path, argv, content, message):
@@ -854,7 +745,6 @@ def test_scan_box_past_the_limit_exits_1_at_once(argv):
 # (2^61 - 1)(10^18 + 9): too hard for the rho budget, so membership of x/N
 # would spend seconds factoring before failing with exit 1
 _UNFACTORABLE = f"x/{(2**61 - 1) * (10**18 + 9)}"
-_ADV_58 = ("adversary", "--seed", "42", "58", "2x^2+x+3", "--norm-file")
 
 
 @pytest.fixture
@@ -869,50 +759,20 @@ def no_factoring(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, table, message",
+    "argv, message",
     [
-        (("divmod", "--seed", "1", _UNFACTORABLE, "x+"), None, "error: bad polynomial 'x+'"),
-        (_ADV_58 + ("TABLE",), {"x": 2.5}, "error: norm of 'x' must be an integer"),
-        (_ADV_58 + ("TABLE",), {"y": 1}, "error: bad polynomial 'y'"),
-        (_ADV_58 + ("MISSING",), None, "error: cannot read norm table: [Errno"),
-        (_ADV_58 + ("",), None, "error: cannot read norm table: [Errno"),
-        (("normalize", "--seed", "1", _UNFACTORABLE, "1", "x+"), None, "error: bad polynomial 'x+'"),
-        (("compare", "--seed", "1", _UNFACTORABLE, "1", "1", "x+"), None, "error: bad polynomial 'x+'"),
+        (("divmod", "--seed", "1", _UNFACTORABLE, "x+"), "error: bad polynomial 'x+'"),
+        (("divmod", "--tau-file", "MISSING", _UNFACTORABLE, "1"), "error: cannot read tau file: [Errno"),
+        (("normalize", "--seed", "1", _UNFACTORABLE, "1", "x+"), "error: bad polynomial 'x+'"),
+        (("compare", "--seed", "1", _UNFACTORABLE, "1", "1", "x+"), "error: bad polynomial 'x+'"),
     ],
-    ids=[
-        "divmod",
-        "adversary-bad-value",
-        "adversary-bad-key",
-        "adversary-missing",
-        "adversary-empty-path",
-        "normalize",
-        "compare",
-    ],
+    ids=["divmod", "divmod-missing-tau-file", "normalize", "compare"],
 )
-def test_usage_errors_come_before_any_ring_work(capsys, tmp_path, no_factoring, argv, table, message):
-    path = tmp_path / "norms.json"
-    if table is not None:
-        path.write_text(json.dumps(table))
-    paths = {"TABLE": str(path), "MISSING": str(tmp_path / "missing.json")}
+def test_usage_errors_come_before_any_ring_work(capsys, tmp_path, no_factoring, argv, message):
+    paths = {"MISSING": str(tmp_path / "missing.json")}
     code, out, err = run_cli(capsys, *[paths.get(a, a) for a in argv])
     assert (code, out) == (2, "")
     assert err.startswith(message) and err.count("\n") == 1
-
-
-def test_empty_norm_table_still_walks(capsys, tmp_path):
-    path = tmp_path / "norms.json"
-    path.write_text("{}")
-    argv = ["adversary", "--tau", ZERO_TAU, "1", "x", "--norm-file", str(path)]
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert out.splitlines()[-3:] == [
-        "norm-table walk (a finite table cannot sustain the descent):",
-        "  N(x) is not in the table; walk stops here",
-        "  verdict: table exhausted",
-    ]
-    code, out, _ = run_cli(capsys, *argv, "--json")
-    assert code == 0
-    assert json.loads(out)["norm_walk"] == {"trail": [], "verdict": "table exhausted"}
 
 
 @pytest.mark.parametrize(

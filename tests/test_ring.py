@@ -235,8 +235,11 @@ def test_witness_past_the_rho_budget_names_the_failing_part(monkeypatch):
         ({5: constant(1)}, (1, 1), 40 * HARD, (2, 3, 2)),
         # x/3027N: the override fails at 1009, past the trial primes; the default's part 3N at 3
         ({1009: constant(1)}, (0, 1), 3 * 1009 * HARD, (3, 1, 1)),
+        # x/10007N: the override fails at 10007, past the trial primes; the
+        # default's part N has no prime below it
+        ({10007: constant(1)}, (0, 1), 10007 * HARD, (10007, 1, 1)),
     ],
-    ids=["override-2-part-3N", "override-5-part-8N", "override-1009-part-3N"],
+    ids=["override-2-part-3N", "override-5-part-8N", "override-1009-part-3N", "override-10007-part-N"],
 )
 def test_a_failed_prime_bounds_the_search_of_a_whole_part(monkeypatch, overrides, num, den, want):
     # N = HARD is past the rho budget: no part of the answer may need rho
