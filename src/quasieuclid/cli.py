@@ -122,19 +122,11 @@ def _load_tau(args) -> TauSpec:
         text = args.tau
     else:
         return zero() if args.seed is None else stream(args.seed)
-    data = _decode_json(text, "bad tau spec")
     try:
-        return tau_from_json(data)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"bad tau spec: {exc}")
-
-
-def _decode_json(text: str, malformed: str):
-    try:
-        return json.loads(text, parse_int=_json_int, object_pairs_hook=_unique_keys)
-    except (ValueError, RecursionError) as exc:
+        return tau_from_json(json.loads(text, parse_int=_json_int, object_pairs_hook=_unique_keys))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         # RecursionError: JSON nested too deep for the decoder itself
-        raise UsageError(f"{malformed}: {exc}")
+        raise UsageError(f"bad tau spec: {exc}")
 
 
 def _json_int(digits: str) -> int:

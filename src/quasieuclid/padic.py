@@ -592,8 +592,9 @@ class TauSpec(ABC):
 
     def _parts(self, h: Sequence[int], n: int) -> Iterator[tuple[int, int, int]]:
         """Coprime parts q^v of n >= 1 with product n, as (q, v, r) for
-        r = h(tau) mod q^v: q is a prime, or a part left whole with v = 1.
-        Here the prime powers of factorize(n)."""
+        r = h(tau) mod q^v: q is a prime, or, for at most one part and only
+        the last, a part left whole with v = 1.  Here the prime powers of
+        factorize(n)."""
         for p, e in factorize(n):
             yield p, e, _eval_mod(h, self._tau(p, e), p**e)
 

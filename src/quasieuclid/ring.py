@@ -14,7 +14,7 @@ import sys
 from typing import NamedTuple
 
 from .chains import DivisionChain
-from .padic import _TRIAL_PRIMES, BudgetExceeded, FactorBudgetExceeded, TauSpec, factorize, is_prime
+from .padic import BudgetExceeded, TauSpec, is_prime
 from .poly import ONE, ZERO, RingElement, _const, _lincomb, _pdiv, _submul, as_element, qdiv
 
 # The step budget of gcd_bezout and the default one of qe_chain.  Chains
@@ -22,10 +22,10 @@ from .poly import ONE, ZERO, RingElement, _const, _lincomb, _pdiv, _submul, as_e
 # 10,000 quotients.
 CHAIN_STEPS_MAX = 10_000
 
-# membership_witness trial-divides a part left whole past the trial primes
-# by the odd numbers below the least failing prime found so far, when that
-# prime is at most this: about 2^15 divisions, a small share of what rho's
-# budget may spend proving that no smaller prime divides the part.
+# membership_witness seeks the least failing prime of a part left whole by
+# trial division below this and below every failing prime found so far, its
+# only search: at most about 2^15 divisions, a few ms.  A part with no
+# failing prime below it is named whole.
 _WITNESS_TRIAL_MAX = 2**16
 
 
@@ -41,7 +41,8 @@ def _shown(x, what: str) -> str:
 class NotMemberError(ValueError):
     """An element fails the residue condition: its numerator h has h(tau)
     mod prime^precision = residue != 0, prime^precision exactly dividing the
-    denominator, or, past the rho budget, prime a composite part, precision 1."""
+    denominator, or, when no failing prime lies below the witness's trial
+    bound, prime a composite part, precision 1."""
 
     def __init__(self, element: RingElement, prime: int, precision: int, residue: int):
         self.element = element
@@ -135,33 +136,29 @@ class RingContext:
     def membership_witness(self, e: RingElement) -> tuple[int, int, int] | None:
         """None when e belongs to the ring, else (p, v, residue) for the
         smallest failing prime p, p^v exactly dividing e's denominator, read
-        off the parts eval_mod combines.  Of a part m left whole it seeks the
-        least prime of m / gcd(r, m), r = h(tau) mod m, by trial division
-        below every failing prime found so far, up to _WITNESS_TRIAL_MAX, and
-        factors m / gcd(r, m) only past that; past the rho budget, (m, 1, r)."""
-        failed, whole, left = [], [], []
+        off the parts eval_mod combines in one pass.  Of the part m left
+        whole, always the last, it seeks the least prime of m / gcd(r, m),
+        r = h(tau) mod m, by trial division below every failing prime found
+        so far and below _WITNESS_TRIAL_MAX; with none there, (m, 1, r),
+        named only if no prime fails."""
+        failed = []
         for q, v, r in self.tau._parts(e.num, e.den):
-            if r:
-                (failed if is_prime(q) else whole).append((q, v, r))
-        for q, v, r in whole:
-            bound = min(failed, default=(q,))[0]  # the least failing prime so far, else q
-            n = q // math.gcd(r, q)  # its primes are the failing primes of q
-            p = next((p for p in _TRIAL_PRIMES if p >= bound or n % p == 0), None)
-            if p is None and bound <= _WITNESS_TRIAL_MAX:
-                # no trial prime divides n, so its least divisor past them is prime
-                p = next((d for d in range(_TRIAL_PRIMES[-1] + 2, bound, 2) if n % d == 0), bound)
-            try:
-                p = p or factorize(n)[0][0]
-            except FactorBudgetExceeded:
-                left.append((q, v, r))  # q stays whole, named only if no prime fails
-                continue
-            if p < bound:
+            if r and is_prime(q):
+                failed.append((q, v, r))
+            elif r:  # the part left whole
+                n = q // math.gcd(r, q)  # its primes are the failing primes of q
+                bound = min([_WITNESS_TRIAL_MAX] + [p for p, _, _ in failed])
+                # 2 (below bound when it divides n: the parts are coprime), then
+                # the odd numbers, so the least divisor found is prime
+                p = 2 if n % 2 == 0 else next((d for d in range(3, bound, 2) if n % d == 0), 0)
+                if not p:
+                    return min(failed, default=(q, 1, r))
                 v = 0
                 while q % p == 0:
                     q //= p
                     v += 1
-                failed.append((p, v, r % p**v))
-        return min(failed or left, default=None)
+                return p, v, r % p**v  # below every failing prime
+        return min(failed, default=None)
 
     def is_member(self, e) -> bool:
         e = as_element(e)

@@ -749,13 +749,12 @@ _UNFACTORABLE = f"x/{(2**61 - 1) * (10**18 + 9)}"
 
 @pytest.fixture
 def no_factoring(monkeypatch):
-    from quasieuclid import padic, ring
+    from quasieuclid import padic
 
     def refuse(n):
         raise AssertionError(f"factorize({n}) ran before the usage error")
 
     monkeypatch.setattr(padic, "factorize", refuse)
-    monkeypatch.setattr(ring, "factorize", refuse)
 
 
 @pytest.mark.parametrize(

@@ -365,6 +365,9 @@ def test_eval_mod_is_crt_of_prime_power_residues(spec, h, n):
     h = tuple(h)
     t = spec.eval_mod(h, n)
     assert t == _eval_mod_reference(h, spec, n)
+    # the witness's one pass relies on this: only the last part may be left whole
+    moduli = [q for q, _, _ in spec._parts(h, n)]
+    assert all(is_prime(q) for q in moduli[:-1])
     e = RingElement(h, n)
     ctx = RingContext(spec)
     assert (t == 0) == ctx.is_member(e)

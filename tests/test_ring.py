@@ -112,7 +112,6 @@ def test_constant_tau_never_factors(monkeypatch, tau, z):
         raise AssertionError(f"factorize({n}) called")
 
     monkeypatch.setattr("quasieuclid.padic.factorize", refuse)
-    monkeypatch.setattr("quasieuclid.ring.factorize", refuse)
     ctx = RingContext(tau)
     assert ctx.is_member(RingElement((0, 1), SEMIPRIME)) == (z == 0)
     n = as_element(SEMIPRIME)
@@ -191,7 +190,6 @@ def test_witness_factors_nothing_beyond_eval_mod(monkeypatch, tau):
         return real(n)
 
     monkeypatch.setattr("quasieuclid.padic.factorize", counting)
-    monkeypatch.setattr("quasieuclid.ring.factorize", counting)
     ctx = RingContext(tau)
     e = RingElement((1, 2, 3), 2**3 * 3**2 * 5 * 7 * 101 * 10007)
     assert ctx.tau.eval_mod(e.num, e.den) != 0
@@ -238,8 +236,17 @@ def test_witness_past_the_rho_budget_names_the_failing_part(monkeypatch):
         # x/10007N: the override fails at 10007, past the trial primes; the
         # default's part N has no prime below it
         ({10007: constant(1)}, (0, 1), 10007 * HARD, (10007, 1, 1)),
+        # x/70001N: the override fails at 70001, past _WITNESS_TRIAL_MAX; N
+        # is trial-divided below that bound, not factored
+        ({70001: constant(1)}, (0, 1), 70001 * HARD, (70001, 1, 1)),
     ],
-    ids=["override-2-part-3N", "override-5-part-8N", "override-1009-part-3N", "override-10007-part-N"],
+    ids=[
+        "override-2-part-3N",
+        "override-5-part-8N",
+        "override-1009-part-3N",
+        "override-10007-part-N",
+        "override-70001-part-N",
+    ],
 )
 def test_a_failed_prime_bounds_the_search_of_a_whole_part(monkeypatch, overrides, num, den, want):
     # N = HARD is past the rho budget: no part of the answer may need rho
@@ -256,6 +263,31 @@ def test_a_failed_prime_bounds_the_search_of_a_whole_part(monkeypatch, overrides
     with pytest.raises(NotMemberError, match=rf"mod {want[0]}\^{want[1]}, expected 0$"):
         ctx.make_element(e)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "tau, num",
+    [(constant(1), (0, 1)), (zero(), (1, 1)), (piecewise({3: constant(1)}, constant(1)), (0, 1))],
+    ids=["constant", "zero", "piecewise-over-constant"],
+)
+@pytest.mark.parametrize(
+    "den, want",
+    [
+        (3 * 65537, (3, 1, 1)),
+        # no failing prime below the trial bound 2^16: the part is named whole
+        (65537 * 1000003, (65537 * 1000003, 1, 1)),
+        (65537**2, (65537**2, 1, 1)),
+        (HARD, (HARD, 1, 1)),
+    ],
+    ids=["3-65537", "65537-1000003", "65537-squared", "N"],
+)
+def test_a_whole_part_is_never_factored(monkeypatch, tau, num, den, want):
+    # num evaluates to 1 at tau, so every prime of den fails
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(padic, "factorize", refuse)
+    assert RingContext(tau).membership_witness(RingElement(num, den)) == want
 
 
 # -- phi ------------------------------------------------------------------------
