@@ -38,6 +38,8 @@ ADVERSARY_K_MAX = 2000
 
 
 def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be positive")
     if k > ADVERSARY_K_MAX:
         raise BudgetExceeded(f"stage budget k = {k} is past the limit k <= {ADVERSARY_K_MAX}")
 
@@ -80,8 +82,8 @@ def adversarial_pair(ctx: RingContext, k: int, b: RingElement) -> RingElement:
     """a = (c/d)(b - beta) for the stage budget k.  b is checked to be a
     ring member; a is one without a check, since beta makes (b - beta)/d a
     member and c is an integer.  Negative b is handled by negating,
-    constructing, and negating back.  k past ADVERSARY_K_MAX raises
-    BudgetExceeded."""
+    constructing, and negating back.  k below 1 raises ValueError and k
+    past ADVERSARY_K_MAX BudgetExceeded, both before b is read."""
     _check_k(k)
     b = as_element(b)
     if b.degree < 1:
@@ -102,7 +104,7 @@ def degree_retention_check(ctx: RingContext, k: int, a: RingElement, b: RingElem
     a and b, once each; beta is then read off the pair as b - (d/c)a, which
     must be an integer in [0, d), so the reported (c, d, beta) always
     describe the given pair.  No residue is computed here.
-    k past ADVERSARY_K_MAX raises BudgetExceeded.
+    k below 1 raises ValueError and k past ADVERSARY_K_MAX BudgetExceeded.
     """
     _check_k(k)
     a, b = as_element(a), as_element(b)

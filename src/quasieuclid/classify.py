@@ -18,7 +18,7 @@ from .padic import (
     BudgetExceeded,
     PredicateTau,
     TauSpec,
-    _eval_mod,
+    _valuation,
     piecewise,
     primes_upto,
     zero,
@@ -104,19 +104,13 @@ def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
     tau, num = ctx.tau, h.num
     hits = []
     for p in primes_upto(p_max):
-        if _eval_mod(num, tau._tau(p, 1), p):
+        if tau._eval_at(num, p, 1):
             continue
         if tau.is_exact_root(num, p):
             hits.append(PrimeHit(p, k_max, True, True))
             continue
-        val = _eval_mod(num, tau._tau(p, k_max), p**k_max)
-        if val == 0:
-            depth = k_max
-        else:
-            depth = 0
-            while val % p == 0:
-                val //= p
-                depth += 1
+        val = tau._eval_at(num, p, k_max)
+        depth = _valuation(val, p)[0] if val else k_max
         hits.append(PrimeHit(p, depth, depth == k_max, False))
     return ShScan(h, p_max, k_max, tuple(hits))
 

@@ -14,11 +14,13 @@ residues of h(tau).  Each kind splits n its own way: the prime powers of
 factorize(n) in general, n whole for a constant tau (zero too), and for a
 piecewise spec the powers of its override primes, which need no factoring,
 then its default's parts of the rest.  Membership, the divmod correction,
-integer_mod and a non-member's witness all read these parts.  Inside the
-library residues are plain ints from TauSpec._tau, which trusts its (prime,
-precision); the public query, poly_eval_mod and hensel_lift check p and k
-with _check_prime_power and build one ResidueClass, whose own check is the
-same function.
+integer_mod and a non-member's witness all read these parts.  A prime
+power's residue is TauSpec._eval_at(h, p, k), h(tau_p) mod p^k: the scan
+and poly_eval_mod read the same residue as _parts.  The exponent of p in
+an integer is always _valuation's.  Inside the library residues are plain
+ints from TauSpec._tau, which trusts its (prime, precision); the public
+query, poly_eval_mod and hensel_lift check p and k with _check_prime_power
+and build one ResidueClass, whose own check is the same function.
 
 factorize trial-divides, splits the rest by gcds with Fibonacci numbers,
 then by Brent's rho, and raises FactorBudgetExceeded (a BudgetExceeded,
@@ -188,11 +190,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         if p * p > n:
             break
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
+            out[p], n = _valuation(n, p)
     if n >= _TRIAL_BOUND**2 and not is_prime(n):
         budget = RHO_BUDGET
         for part in _fibonacci_parts(n):
@@ -200,6 +198,15 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     elif n > 1:
         out[n] = 1  # no prime factor below its square root, or a prime
     return tuple(sorted(out.items()))
+
+
+def _valuation(n: int, p: int) -> tuple[int, int]:
+    """(v, n // p**v) for the exponent v of the prime p in n != 0."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
 
 
 def _fibonacci_parts(n: int) -> list[int]:
@@ -560,8 +567,9 @@ class TauSpec(ABC):
 
     query(p, k) returns tau_p mod p^k; answers at different precisions of
     the same spec always agree (deeper queries refine shallower ones).
-    Consumers read _tau, which memoizes in one bounded cache shared by
-    every spec; subclasses implement the uncached _residue.
+    Consumers read _tau, or h(tau_p) mod p^k from _eval_at, and _tau
+    memoizes in one bounded cache shared by every spec; subclasses
+    implement the uncached _residue.
     """
 
     kind: str = ""
@@ -596,7 +604,11 @@ class TauSpec(ABC):
         the last, a part left whole with v = 1.  Here the prime powers of
         factorize(n)."""
         for p, e in factorize(n):
-            yield p, e, _eval_mod(h, self._tau(p, e), p**e)
+            yield p, e, self._eval_at(h, p, e)
+
+    def _eval_at(self, h: Sequence[int], p: int, k: int) -> int:
+        """h(tau_p) mod p^k for a prime p and k >= 0, unchecked."""
+        return _eval_mod(h, self._tau(p, k), p**k)
 
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
         """Whether this spec guarantees h(tau_p) = 0 in Z_p, so that
@@ -824,12 +836,9 @@ class PiecewiseTau(_SplitTau):
 
     def _parts(self, h: Sequence[int], n: int) -> Iterator[tuple[int, int, int]]:
         for p in self.overrides:  # known primes: their powers need no factoring
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
+            e, n = _valuation(n, p)
             if e:
-                yield p, e, _eval_mod(h, self._tau(p, e), p**e)
+                yield p, e, self._eval_at(h, p, e)
         yield from self.default._parts(h, n)  # the rest, split as the default splits it
 
     @classmethod
@@ -912,7 +921,7 @@ def _tau_from_json(data: Mapping, depth: int) -> TauSpec:
 def poly_eval_mod(h: Sequence[int], spec: TauSpec, p: int, k: int) -> ResidueClass:
     """h(tau_p) mod p^k by Horner's rule, entirely in Z/p^k Z."""
     _check_prime_power(p, k)
-    return ResidueClass(p, k, _eval_mod(h, spec._tau(p, k), p**k))
+    return ResidueClass(p, k, spec._eval_at(h, p, k))
 
 
 class HenselLiftError(ValueError):

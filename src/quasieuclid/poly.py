@@ -143,14 +143,7 @@ class RingElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return ZERO
-        out = [0] * (len(self._num) + len(o._num) - 1)
-        for i, a in enumerate(self._num):
-            if a:
-                for j, b in enumerate(o._num):
-                    out[i + j] += a * b
-        return RingElement._from_normal(out, self._den * o._den)
+        return -_submul(ZERO, self, o)
 
     __rmul__ = __mul__
 
@@ -245,11 +238,13 @@ def _const(c: int) -> RingElement:
 
 
 def _submul(w: RingElement, p: RingElement, u: RingElement) -> RingElement:
-    """w - p*u, as one coefficient list over one denominator.
+    """w - p*u, as one coefficient list over one denominator; the product
+    p*u is -_submul(ZERO, p, u).
 
     With w = W/a, p = P/b and u = U/c, the result is
     (W*(L/a) - P*U*(L/bc))/L for L = lcm(a, bc): one scaled pass when p is
-    a constant, one convolution otherwise, and one _from_normal call.
+    a constant, otherwise one convolution that takes each nonzero
+    coefficient of p times every one of u, and one _from_normal call.
     """
     pn, un = p._num, u._num
     wn, wd = w._num, w._den

@@ -14,7 +14,7 @@ import sys
 from typing import NamedTuple
 
 from .chains import DivisionChain
-from .padic import BudgetExceeded, TauSpec, is_prime
+from .padic import BudgetExceeded, TauSpec, _valuation, is_prime
 from .poly import ONE, ZERO, RingElement, _const, _lincomb, _pdiv, _submul, as_element, qdiv
 
 # The step budget of gcd_bezout and the default one of qe_chain.  Chains
@@ -153,10 +153,7 @@ class RingContext:
                 p = 2 if n % 2 == 0 else next((d for d in range(3, bound, 2) if n % d == 0), 0)
                 if not p:
                     return min(failed, default=(q, 1, r))
-                v = 0
-                while q % p == 0:
-                    q //= p
-                    v += 1
+                v = _valuation(q, p)[0]
                 return p, v, r % p**v  # below every failing prime
         return min(failed, default=None)
 

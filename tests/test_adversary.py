@@ -9,7 +9,6 @@ from quasieuclid import (
     X,
     ZERO,
     BudgetExceeded,
-    NotMemberError,
     RingContext,
     RingElement,
     adversarial_pair,
@@ -201,11 +200,18 @@ def test_adversarial_pair_is_a_member_without_a_check(tau, seed, k):
     assert a == RingElement((c,), d) * (b - integer_mod(ctx, b, d))
 
 
-def test_adversarial_pair_checks_membership_before_k():
-    with pytest.raises(NotMemberError):
-        adversarial_pair(RingContext(constant(1)), 0, RingElement((0, 1), 2))
-    with pytest.raises(ValueError, match="k must be positive"):
-        adversarial_pair(RingContext(constant(0)), 0, RingElement((0, 1), 2))
+def test_k_below_one_is_refused_before_any_ring_work():
+    # b is not read: x/2 is no member under constant(1), and under stream(42)
+    # the denominator of the last b takes seconds of rho, then its budget
+    cases = [
+        (constant(1), RingElement((0, 1), 2)),
+        (constant(0), RingElement((0, 1), 2)),
+        (stream(42), RingElement((0, 1), 4183542477244270516926559302647)),
+    ]
+    for tau, b in cases:
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be positive"):
+                adversarial_pair(RingContext(tau), k, b)
 
 
 def test_adversarial_pair_negates_cleanly():

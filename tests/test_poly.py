@@ -311,6 +311,10 @@ def test_submul_matches_fraction_reference(w, p, u):
     assert result == _reference_submul(w, p, u)
     assert result == w + (-(p * u))
     _assert_normal(result)
+    # a product is the same kernel from zero: p*u = -(0 - p*u), in either order
+    product = p * u
+    assert product == u * p == -_reference_submul(ZERO, p, u)
+    _assert_normal(product)
 
 
 def test_submul_examples():

@@ -200,8 +200,8 @@ def test_witness_factors_nothing_beyond_eval_mod(monkeypatch, tau):
     assert len(calls) == made
 
 
-def test_witness_past_the_rho_budget_names_the_failing_part(monkeypatch):
-    # a small budget stands in for the default one, which would take seconds
+def test_witness_names_a_whole_part_it_does_not_split(monkeypatch):
+    # neither spec factors HARD, so no rho runs; a small budget would end it fast if one did
     monkeypatch.setattr(padic, "RHO_BUDGET", 1000)
     padic.factorize.cache_clear()
     try:
@@ -217,6 +217,15 @@ def test_witness_past_the_rho_budget_names_the_failing_part(monkeypatch):
         # a failing prime elsewhere is named before the unfactored part
         piece = RingContext(piecewise({3: constant(1)}, zero()))
         assert piece.membership_witness(RingElement((HARD, 1), 3 * HARD**2)) == (3, 1, (HARD + 1) % 3)
+    finally:
+        padic.factorize.cache_clear()
+
+
+def test_witness_under_a_factoring_spec_ends_on_the_rho_budget(monkeypatch):
+    # a small budget stands in for the default one, which would take seconds
+    monkeypatch.setattr(padic, "RHO_BUDGET", 1000)
+    padic.factorize.cache_clear()
+    try:
         # under a spec that factors the whole denominator, the budget still ends it
         with pytest.raises(padic.FactorBudgetExceeded):
             RingContext(stream(42)).membership_witness(RingElement((0, 1), HARD))
