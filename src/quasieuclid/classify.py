@@ -18,6 +18,7 @@ from .padic import (
     BudgetExceeded,
     PredicateTau,
     TauSpec,
+    _eval_mod,
     _valuation,
     piecewise,
     primes_upto,
@@ -81,10 +82,12 @@ def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
     evidence of an exact zero only when the spec certifies it; pseudorandom
     digit streams never do.
 
-    The scan pays three costs.  Every prime costs one digit of tau:
-    h(tau_p) mod p.  A hit (where that is 0) that the spec certifies exact
-    costs nothing more, since an exact zero has depth k_max.  Any other hit
-    costs tau_p mod p^k_max (a Newton lift under a Hensel spec) and h
+    The scan pays three costs.  Every prime costs one digit of tau and
+    h(tau_p) mod p; the digit comes from the spec's _residue(p, 1), not
+    the residue memo, since the scan reads each prime once.  A hit (where
+    h(tau_p) = 0 mod p) that the spec certifies exact costs nothing more,
+    since an exact zero has depth k_max.  Any other hit costs tau_p mod
+    p^k_max through the memo (a Newton lift under a Hensel spec) and h
     evaluated mod p^k_max.  Reading the depth from one deeper residue is
     exact because a spec's answers at different precisions agree, so a
     stream spec hashes one digit, not k_max, at a prime that is not a hit.
@@ -104,7 +107,7 @@ def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
     tau, num = ctx.tau, h.num
     hits = []
     for p in primes_upto(p_max):
-        if tau._eval_at(num, p, 1):
+        if _eval_mod(num, tau._residue(p, 1), p):
             continue
         if tau.is_exact_root(num, p):
             hits.append(PrimeHit(p, k_max, True, True))

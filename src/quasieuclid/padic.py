@@ -15,12 +15,13 @@ factorize(n) in general, n whole for a constant tau (zero too), and for a
 piecewise spec the powers of its override primes, which need no factoring,
 then its default's parts of the rest.  Membership, the divmod correction,
 integer_mod and a non-member's witness all read these parts.  A prime
-power's residue is TauSpec._eval_at(h, p, k), h(tau_p) mod p^k: the scan
-and poly_eval_mod read the same residue as _parts.  The exponent of p in
-an integer is always _valuation's.  Inside the library residues are plain
-ints from TauSpec._tau, which trusts its (prime, precision); the public
-query, poly_eval_mod and hensel_lift check p and k with _check_prime_power
-and build one ResidueClass, whose own check is the same function.
+power's residue is TauSpec._eval_at(h, p, k), h(tau_p) mod p^k: a scan's
+depth at a hit and poly_eval_mod read the same residue as _parts.  The
+exponent of p in an integer is always _valuation's.  Inside the library
+residues are plain ints from TauSpec._tau, or for a scan's first digit
+from _residue, which trust their (prime, precision); the public query,
+poly_eval_mod and hensel_lift check p and k with _check_prime_power and
+build one ResidueClass, whose own check is the same function.
 
 factorize trial-divides, splits the rest by gcds with Fibonacci numbers,
 then by Brent's rho, and raises FactorBudgetExceeded (a BudgetExceeded,
@@ -32,10 +33,13 @@ TauSpec._tau by (spec, p, k) and HenselTau._simple_root by (spec, p).  A
 spec implements the uncached _residue, called with k >= 1; a composite
 spec returns the _residue of the spec it picks, so each residue is stored
 once, under the spec the caller asked for, but for the rest of n whose
-parts a piecewise spec takes from its default.  A key holds its spec alive
-and specs hash by identity, so an entry never answers for a later spec.
-Values are deterministic in their key and lru_cache is thread-safe, so
-concurrent readers may share a spec.
+parts a piecewise spec takes from its default.  A scan reads each prime
+once, so it takes tau_p mod p straight from _residue and stores only the
+deep residues of the hits its spec does not certify exact: other callers'
+entries stay.  A key holds its spec alive and specs hash by identity, so
+an entry never answers for a later spec.  Values are deterministic in
+their key and lru_cache is thread-safe, so concurrent readers may share a
+spec.
 """
 
 from __future__ import annotations
@@ -407,7 +411,10 @@ def _sqrt_mod(a: int, p: int) -> int | None:
     x = a^((q+1)/2) and b = a^q, so that x^2 = a·b, each pass multiplies x
     by a power of y that lowers the order of b, until b = 1.  At most s
     passes of at most s squarings each, plus O(log p) for the powers;
-    p = 3 mod 4 needs the one power a^((p+1)/4)."""
+    p = 3 mod 4 needs the one power a^((p+1)/4).  Otherwise Euler's
+    criterion, a^((p-1)/2) = 1, rejects a non-residue with one power before
+    z is sought, so the passes run only for a square, whose b always has
+    order below 2^s."""
     a %= p
     if a == 0:
         return 0
@@ -417,6 +424,8 @@ def _sqrt_mod(a: int, p: int) -> int | None:
     if s == 1:
         x = pow(a, (p + 1) // 4, p)
         return x if x * x % p == a else None
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
@@ -429,8 +438,6 @@ def _sqrt_mod(a: int, p: int) -> int | None:
         while t != 1:
             t = t * t % p
             m += 1
-        if m == r:
-            return None  # b has order 2^r: a is a non-residue
         t = pow(y, 1 << (r - m - 1), p)
         y, r = t * t % p, m
         x, b = x * t % p, b * y % p
@@ -569,7 +576,7 @@ class TauSpec(ABC):
     the same spec always agree (deeper queries refine shallower ones).
     Consumers read _tau, or h(tau_p) mod p^k from _eval_at, and _tau
     memoizes in one bounded cache shared by every spec; subclasses
-    implement the uncached _residue.
+    implement the uncached _residue, which a scan reads for tau_p mod p.
     """
 
     kind: str = ""
@@ -583,13 +590,15 @@ class TauSpec(ABC):
     # reads come back to the primes of recent denominators; the key holds its spec alive
     @lru_cache(maxsize=1024)
     def _tau(self, p: int, k: int) -> int:
-        """tau_p mod p^k for a prime p and k >= 0, unchecked; memoized."""
+        """tau_p mod p^k for a prime p and k >= 0, unchecked; memoized.  A
+        scan reads its first digit at each prime from _residue instead."""
         return self._residue(p, k) if k else 0
 
     @abstractmethod
     def _residue(self, p: int, k: int) -> int:
-        """Value of tau_p mod p^k, 0 <= value < p^k, for k >= 1; uncached,
-        called only by _tau or by a composite spec's _residue."""
+        """Value of tau_p mod p^k, 0 <= value < p^k, for a prime p and
+        k >= 1, unchecked and uncached; called by _tau, by a composite
+        spec's _residue, and by scan_sh for the first digit at each prime."""
 
     def eval_mod(self, h: Sequence[int], n: int) -> int:
         """h(tau) mod n for n >= 1, the Chinese remainder of _parts; a
@@ -607,7 +616,8 @@ class TauSpec(ABC):
             yield p, e, self._eval_at(h, p, e)
 
     def _eval_at(self, h: Sequence[int], p: int, k: int) -> int:
-        """h(tau_p) mod p^k for a prime p and k >= 0, unchecked."""
+        """h(tau_p) mod p^k for a prime p and k >= 0, unchecked, through
+        the memo (_tau)."""
         return _eval_mod(h, self._tau(p, k), p**k)
 
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
@@ -693,7 +703,12 @@ class StreamTau(TauSpec):
         return int.from_bytes(hashlib.sha256(key).digest(), "big") % p
 
     def _residue(self, p: int, k: int) -> int:
-        return _eval_int([self._digit(p, i) for i in range(k)], p)
+        # Horner's rule from the top digit down, each digit folded in as it
+        # is hashed
+        acc = 0
+        for i in range(k - 1, -1, -1):
+            acc = acc * p + self._digit(p, i)
+        return acc
 
 
 # _EXP_CEIL[n - 1] is the least integer above e^n; grown on demand by
@@ -756,7 +771,8 @@ class HenselTau(TauSpec):
     operations each, and a power near p = 10^9 takes about 30 squarings.  A
     residue is the Newton lift of that root, or the fallback's _residue, both
     as plain ints.  The root at p is memoized in _simple_root and the
-    residue in TauSpec._tau, both bounded.  Whether f divides a given h, the
+    residue in TauSpec._tau, both bounded; a scan's first digit is the
+    root itself, not stored in _tau.  Whether f divides a given h, the
     test behind is_exact_root, is decided once per (f, h) pair by _divides.
     """
 
@@ -773,7 +789,10 @@ class HenselTau(TauSpec):
     # read again only at the prime just computed; the key holds its spec alive
     @lru_cache(maxsize=256)
     def _simple_root(self, p: int) -> int | None:
-        simple = (r for r in _roots_mod(self.poly, p) if _eval_mod(self._deriv, r, p))
+        roots = _roots_mod(self.poly, p)
+        if len(self.poly) == 3 and len(roots) == 2:
+            return min(roots)  # a quadratic's two distinct roots are both simple
+        simple = (r for r in roots if _eval_mod(self._deriv, r, p))
         return min(simple, default=None)
 
     def _residue(self, p: int, k: int) -> int:

@@ -117,7 +117,8 @@ def test_scan_at_the_k_limit():
 
 
 class CountingTau(TauSpec):
-    """Another spec's residues, with a record of every (p, k) asked for."""
+    """Another spec's residues, with a record of every (p, k) asked for,
+    through the memo or (a scan's first digit) straight from _residue."""
 
     def __init__(self, inner):
         super().__init__()
@@ -129,6 +130,7 @@ class CountingTau(TauSpec):
         return self.inner._tau(p, k)
 
     def _residue(self, p, k):
+        self.asked.append((p, k))
         return self.inner._tau(p, k)
 
     def is_exact_root(self, h, p):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import subprocess
@@ -507,13 +508,46 @@ def test_a_composite_spec_stores_its_residue_once(spec, p):
 def test_residue_memos_stay_bounded_over_a_long_scan():
     tau, root = padic.TauSpec._tau, padic.HenselTau._simple_root
     tau.cache_clear()
-    scan_sh(RingContext(stream(1)), RingElement((1, 0, 1)), 20000, 8)  # 2,262 primes
+    spec = stream(1)
+    for p in primes_upto(20000):  # 2,262 primes; a scan's first digits skip the memo
+        spec.query(p, 2)
     assert tau.cache_info().maxsize is not None
     assert tau.cache_info().currsize == tau.cache_info().maxsize < tau.cache_info().misses
     root.cache_clear()
     scan_sh(RingContext(hensel((-2, 0, 1), constant(1))), RingElement((1, 0, 1)), 20000, 8)
     assert root.cache_info().maxsize is not None
     assert root.cache_info().currsize == root.cache_info().maxsize < root.cache_info().misses
+
+
+def test_a_scan_leaves_other_callers_residues_in_the_memo():
+    tau = padic.TauSpec._tau
+    tau.cache_clear()
+    other = log_generic(3)
+    other.query(7, 5)
+    before = tau.cache_info()
+    scan = scan_sh(RingContext(stream(1)), RingElement((1, 0, 1)), 20000, 8)
+    after = tau.cache_info()
+    deep = [hit for hit in scan.hits if not hit.exact]
+    assert deep  # a stream certifies no zero, so each hit asks the memo for p^8
+    assert after.misses - before.misses == len(deep)
+    other.query(7, 5)
+    assert tau.cache_info().hits == after.hits + 1
+
+
+def _hashed_digit(seed, p, i):
+    return int.from_bytes(hashlib.sha256(f"{seed}:{p}:{i}".encode()).digest(), "big") % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 65537, 1000003])
+def test_stream_residues_are_their_hashed_digits_low_first(p):
+    seed = 11
+    digits = [_hashed_digit(seed, p, i) for i in range(12)]
+    log_digits = [math.floor(math.log(p))] + digits[1:]  # floor(ln p) is digit 0
+    for k in range(13):
+        assert stream(seed).query(p, k).value == sum(d * p**i for i, d in enumerate(digits[:k]))
+        assert log_generic(seed).query(p, k).value == sum(
+            d * p**i for i, d in enumerate(log_digits[:k])
+        )
 
 
 def test_a_dropped_spec_never_answers_for_a_new_one():
