@@ -4,7 +4,7 @@ Every denominator test in the ring boils down to a question of the form
 "is h(t) divisible by p^k?" for one fixed p-adic integer t per prime p.
 This module provides those residues, tau_p mod p^k, for several effective
 choices of tau (integer constants, pseudorandom digit streams, Hensel-lifted
-algebraic roots, and piecewise combinations), together with the supporting
+algebraic roots, and splits by prime or by class mod m), with the supporting
 modular toolkit: polynomial evaluation mod p^k, Hensel lifting, and Chinese
 remaindering.
 
@@ -51,7 +51,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .poly import RingElement, _json, qdiv
 
@@ -641,10 +641,7 @@ class TauSpec(ABC):
         return cls(*(data[f] for f in cls._fields))
 
     def __repr__(self) -> str:
-        try:
-            return f"<TauSpec {self.to_json()!r}>"
-        except TypeError:
-            return f"<TauSpec kind={self.kind!r}>"
+        return f"<TauSpec {self.to_json()!r}>"
 
 
 def _exact_int(name: str, value: int) -> int:
@@ -823,8 +820,9 @@ def _divides(f: tuple[int, ...], h: tuple[int, ...]) -> bool:
 
 
 class _SplitTau(TauSpec):
-    """A spec that delegates each prime to the spec chosen by _pick, whose
-    _residue it returns: the residue is memoized under this spec alone."""
+    """A spec that delegates each prime to the spec chosen by _pick (by the
+    prime for piecewise, by its class mod m for progression), whose _residue
+    it returns: the residue is memoized under this spec alone."""
 
     @abstractmethod
     def _pick(self, p: int) -> TauSpec:
@@ -845,7 +843,7 @@ class PiecewiseTau(_SplitTau):
 
     def __init__(self, overrides: Mapping[int, TauSpec], default: TauSpec) -> None:
         for p in overrides:
-            if not is_prime(p):
+            if not is_prime(_exact_int("override key", p)):
                 raise ValueError(f"override key {p} is not prime")
         self.overrides = dict(overrides)
         self.default = default
@@ -874,26 +872,34 @@ class PiecewiseTau(_SplitTau):
         return cls(overrides, _tau_from_json(data["default"], depth + 1))
 
 
-class PredicateTau(_SplitTau):
-    """Piecewise split on an arbitrary prime predicate; not serializable."""
+class ProgressionTau(_SplitTau):
+    """tau_p is the when spec's at the primes p with p mod modulus among the
+    residues, and the otherwise spec's at the rest.  By Dirichlet's theorem
+    a class coprime to the modulus holds infinitely many primes."""
 
-    kind = "predicate"
+    kind = "progression"
+    _fields = ("modulus", "residues", "when", "otherwise")
 
     def __init__(
-        self,
-        test: Callable[[int], bool],
-        when_true: TauSpec,
-        otherwise: TauSpec,
+        self, modulus: int, residues: Iterable[int], when: TauSpec, otherwise: TauSpec
     ) -> None:
-        self.test = test
-        self.when_true = when_true
-        self.otherwise = otherwise
+        self.modulus = m = _exact_int("modulus", modulus)
+        self.residues = rs = tuple(_exact_int("residue", r) for r in residues)
+        if m < 1:
+            raise ValueError(f"progression 'modulus' must be at least 1, got {m}")
+        if len(set(rs)) < len(rs) or not all(0 <= r < m for r in rs):
+            raise ValueError(f"progression residues {list(rs)} must be distinct and in [0, {m})")
+        self.when, self.otherwise = when, otherwise
 
     def _pick(self, p: int) -> TauSpec:
-        return self.when_true if self.test(p) else self.otherwise
+        return self.when if p % self.modulus in self.residues else self.otherwise
 
-    def to_json(self) -> dict:
-        raise TypeError("predicate-based specs have no JSON form")
+    @classmethod
+    def _read(cls, data: Mapping, depth: int) -> TauSpec:
+        if not isinstance(data["residues"], list):
+            raise ValueError("progression 'residues' must be a list of integers")
+        when, otherwise = (_tau_from_json(data[f], depth + 1) for f in ("when", "otherwise"))
+        return cls(data["modulus"], data["residues"], when, otherwise)
 
 
 constant = ConstantTau
@@ -902,9 +908,10 @@ stream = StreamTau
 hensel = HenselTau
 log_generic = LogGenericTau
 piecewise = PiecewiseTau
+progression = ProgressionTau
 
-# The kinds with a JSON form, by name
-_KINDS = {cls.kind: cls for cls in (constant, zero, stream, log_generic, hensel, piecewise)}
+# Every kind, by name
+_KINDS = {c.kind: c for c in (constant, zero, stream, log_generic, hensel, piecewise, progression)}
 _TAU_MAX_DEPTH = 64
 
 

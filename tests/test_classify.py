@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from quasieuclid import (
     X,
     BudgetExceeded,
-    PredicateTau,
     RingContext,
     RingElement,
     TauSpec,
@@ -22,9 +21,11 @@ from quasieuclid import (
     piecewise,
     poly_eval_mod,
     primes_upto,
+    progression,
     qdiv,
     scan_sh,
     stream,
+    tau_from_json,
     zero,
 )
 
@@ -160,7 +161,7 @@ SCAN_SPECS = {
     "log_generic": lambda: log_generic(7),
     "hensel": lambda: hensel((-2, 0, 1), stream(1)),
     "piecewise": lambda: piecewise({2: zero(), 3: constant(1), 7: stream(9)}, log_generic(3)),
-    "predicate": lambda: PredicateTau(lambda p: p % 4 == 1, constant(2), hensel((-7, 0, 1), zero())),
+    "predicate": lambda: progression(4, [1], constant(2), hensel((-7, 0, 1), zero())),
 }
 
 
@@ -474,10 +475,12 @@ def test_zero_on_rejects_composites():
 
 
 def test_zero_on_predicate_covers_all_primes():
-    spec = make_zero_on(lambda p: True, stream(9))
+    spec = progression(1, [0], zero(), stream(9))
     reference = constant(0)
     for p in (2, 3, 5, 7, 11):
         for k in range(0, 4):
             assert spec.query(p, k) == reference.query(p, k)
-    with pytest.raises(TypeError):
-        spec.to_json()
+    clone = tau_from_json(spec.to_json())
+    assert clone.to_json() == spec.to_json()
+    for p in (2, 3, 5, 7, 11):
+        assert clone.query(p, 3) == spec.query(p, 3)

@@ -30,11 +30,12 @@ from quasieuclid import (
     log_generic,
     non_ufd_witness,
     piecewise,
+    progression,
     scan_sh,
     stream,
     zero,
 )
-from quasieuclid.padic import HenselTau, PiecewiseTau
+from quasieuclid.padic import HenselTau, PiecewiseTau, ProgressionTau
 from quasieuclid.poly import _json
 
 # -- reference serializers ----------------------------------------------------
@@ -116,6 +117,14 @@ def ref_tau(spec):
             "overrides": {str(p): ref_tau(s) for p, s in sorted(spec.overrides.items())},
             "default": ref_tau(spec.default),
         }
+    if isinstance(spec, ProgressionTau):
+        return {
+            "kind": spec.kind,
+            "modulus": spec.modulus,
+            "residues": list(spec.residues),
+            "when": ref_tau(spec.when),
+            "otherwise": ref_tau(spec.otherwise),
+        }
     return {"kind": spec.kind, **{f: getattr(spec, f) for f in spec._fields}}
 
 
@@ -152,11 +161,16 @@ def nested(inner):
         inner,
         st.builds(hensel, int_polys.filter(lambda c: len(c) >= 2), inner),
         st.builds(piecewise, st.dictionaries(primes, inner, max_size=4), inner),
+        st.integers(1, 12).flatmap(
+            lambda m: st.builds(
+                progression, st.just(m), st.lists(st.integers(0, m - 1), unique=True), inner, inner
+            )
+        ),
     )
 
 
-# every kind nested up to two deep: hensel and piecewise over hensel and
-# piecewise over the leaves
+# every kind nested up to two deep: hensel, piecewise and progression over
+# hensel, piecewise and progression over the leaves
 two_deep_taus = nested(nested(leaf_taus))
 
 

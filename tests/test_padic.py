@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from quasieuclid import (
     FactorBudgetExceeded,
     HenselLiftError,
-    PredicateTau,
     ResidueClass,
     RingContext,
     RingElement,
@@ -24,11 +23,11 @@ from quasieuclid import (
     hensel_lift,
     is_prime,
     log_generic,
-    make_zero_on,
     padic,
     piecewise,
     poly_eval_mod,
     primes_upto,
+    progression,
     scan_sh,
     stream,
     tau_from_json,
@@ -53,6 +52,7 @@ def spec_strategy():
     return st.one_of(
         leaves,
         st.tuples(leaves, leaves).map(lambda pair: piecewise({2: pair[0]}, pair[1])),
+        st.tuples(leaves, leaves).map(lambda pair: progression(3, [2], *pair)),
     )
 
 
@@ -356,7 +356,7 @@ def _eval_mod_reference(h, spec, n):
     st.one_of(
         spec_strategy(),
         st.tuples(spec_strategy(), spec_strategy()).map(
-            lambda pair: PredicateTau(lambda p: p % 4 == 1, *pair)
+            lambda pair: progression(4, [1], *pair)
         ),
     ),
     st.lists(st.integers(-40, 40), max_size=5),
@@ -494,7 +494,7 @@ def test_a_spec_answers_as_its_pick_under_one_memo_entry(spec, p, k):
     "spec, p",
     [
         (piecewise({2: zero()}, stream(3)), 11),
-        (make_zero_on(lambda p: p == 2, stream(3)), 11),
+        (progression(2, [0], zero(), stream(3)), 11),
         (hensel((1, 0, 1), constant(1)), 3),  # x^2 + 1 has no root mod 3
     ],
     ids=["piecewise", "predicate", "hensel_fallback"],
@@ -781,6 +781,7 @@ def test_tau_json_round_trip():
         log_generic(7),
         hensel((-2, 0, 1), constant(1)),
         piecewise({2: zero(), 5: constant(3)}, stream(9)),
+        progression(4, [1, 3], hensel((-2, 0, 1), zero()), log_generic(7)),
     ]
     for spec in specs:
         clone = tau_from_json(spec.to_json())
@@ -805,6 +806,13 @@ def test_tau_json_exact_forms():
         "overrides": {"2": {"kind": "zero"}},
         "default": {"kind": "constant", "value": 1},
     }
+    assert progression(4, [1], zero(), stream(9)).to_json() == {
+        "kind": "progression",
+        "modulus": 4,
+        "residues": [1],
+        "when": {"kind": "zero"},
+        "otherwise": {"kind": "stream", "seed": 9},
+    }
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, "3"], ids=["bool", "float", "str"])
@@ -818,13 +826,33 @@ def test_tau_json_exact_forms():
             lambda v: hensel([-2, v, 1], zero()),
             "hensel 'poly' must be a list of integers, got [-2, {!r}, 1]",
         ),
+        (lambda v: piecewise({v: zero()}, stream(3)), "'override key' must be an integer, got {!r}"),
+        (lambda v: progression(v, [0], zero(), stream(3)), "'modulus' must be an integer, got {!r}"),
+        (lambda v: progression(4, [1, v], zero(), stream(3)), "'residue' must be an integer, got {!r}"),
     ],
-    ids=["constant", "stream", "log_generic", "hensel"],
+    ids=[
+        "constant",
+        "stream",
+        "log_generic",
+        "hensel",
+        "piecewise",
+        "progression_modulus",
+        "progression_residue",
+    ],
 )
 def test_tau_constructors_take_exact_ints(make, message, bad):
     with pytest.raises(ValueError) as err:
         make(bad)
     assert str(err.value) == message.format(bad)
+
+
+@pytest.mark.parametrize("key", [2.0, "2"], ids=repr)
+def test_piecewise_override_keys_are_exact_ints(key):
+    # 2.0 once built a spec whose JSON key "2.0" would not read back, and
+    # "2" met a TypeError inside is_prime
+    with pytest.raises(ValueError) as err:
+        piecewise({key: zero()}, stream(3))
+    assert str(err.value) == f"'override key' must be an integer, got {key!r}"
 
 
 def test_tau_json_rejects_unknown():
@@ -836,6 +864,16 @@ def test_tau_json_rejects_unknown():
         tau_from_json({"kind": "zero", "bogus": 1})
     with pytest.raises(ValueError, match="unknown tau spec kind"):
         tau_from_json({"kind": ["zero"]})
+
+
+def _progression_json(modulus, residues):
+    return {
+        "kind": "progression",
+        "modulus": modulus,
+        "residues": residues,
+        "when": {"kind": "zero"},
+        "otherwise": {"kind": "stream", "seed": 3},
+    }
 
 
 @pytest.mark.parametrize(
@@ -853,8 +891,37 @@ def test_tau_json_rejects_unknown():
             {"kind": "piecewise", "overrides": [[2, {"kind": "zero"}]], "default": {"kind": "zero"}},
             "piecewise 'overrides' must be an object",
         ),
+        (
+            _progression_json(4, 1),
+            "progression 'residues' must be a list of integers",
+        ),
+        (
+            _progression_json(0, []),
+            "progression 'modulus' must be at least 1, got 0",
+        ),
+        (
+            _progression_json(4, [1, 4]),
+            "progression residues [1, 4] must be distinct and in [0, 4)",
+        ),
+        (
+            _progression_json(4, [1, 3, 1]),
+            "progression residues [1, 3, 1] must be distinct and in [0, 4)",
+        ),
+        (
+            _progression_json(True, [0]),
+            "'modulus' must be an integer, got True",
+        ),
     ],
-    ids=["poly_str", "poly_object", "overrides_list"],
+    ids=[
+        "poly_str",
+        "poly_object",
+        "overrides_list",
+        "residues_not_a_list",
+        "modulus_0",
+        "residue_past_modulus",
+        "residue_repeated",
+        "modulus_bool",
+    ],
 )
 def test_tau_json_rejects_wrong_container_types(data, message):
     with pytest.raises(ValueError) as err:
@@ -1105,6 +1172,7 @@ KIND_SAMPLES = {
     "log_generic": log_generic(7),
     "hensel": hensel((-2, 0, 1), stream(3)),
     "piecewise": piecewise({2: constant(1), 7: hensel((-2, 0, 1), zero())}, log_generic(3)),
+    "progression": progression(4, [1], zero(), hensel((-2, 0, 1), stream(3))),
 }
 
 

@@ -29,6 +29,7 @@ from quasieuclid import (
     phi,
     piecewise,
     poly_eval_mod,
+    progression,
     qdiv,
     scan_sh,
     stream,
@@ -376,6 +377,7 @@ def test_divmod_contract_on_random_members():
 ALL_TAU_KINDS = TAUS + [
     hensel((-2, 0, 1), constant(1)),
     piecewise({2: zero(), 3: constant(1)}, stream(3)),
+    progression(4, [1], hensel((1, 0, 1), constant(1)), stream(3)),
 ]
 
 
