@@ -17,7 +17,6 @@ from typing import Iterable
 from .padic import (
     BudgetExceeded,
     TauSpec,
-    _eval_mod,
     _valuation,
     piecewise,
     primes_upto,
@@ -82,15 +81,21 @@ def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
     evidence of an exact zero only when the spec certifies it; pseudorandom
     digit streams never do.
 
-    The scan pays three costs.  Every prime costs one digit of tau and
-    h(tau_p) mod p; the digit comes from the spec's _residue(p, 1), not
-    the residue memo, since the scan reads each prime once.  A hit (where
-    h(tau_p) = 0 mod p) that the spec certifies exact costs nothing more,
-    since an exact zero has depth k_max.  Any other hit costs tau_p mod
-    p^k_max through the memo (a Newton lift under a Hensel spec) and h
-    evaluated mod p^k_max.  Reading the depth from one deeper residue is
-    exact because a spec's answers at different precisions agree, so a
-    stream spec hashes one digit, not k_max, at a prime that is not a hit.
+    The scan pays three costs.  Finding the hits, the primes where
+    h(tau_p) = 0 mod p, is the spec's _zeros.  In general that is one digit
+    of tau and h(tau_p) mod p at every prime; the digit comes from the
+    spec's _residue(p, 1), not the residue memo, since the scan reads each
+    prime once.  A constant spec evaluates h(c) once and tests it against
+    each prime, stopping past |h(c)|.  A Hensel spec asks once whether its
+    f divides h; if so and f is quadratic, Euler's criterion on the
+    discriminant decides each odd prime with one power, and otherwise it
+    finds each root without the root memo.  A hit that the spec certifies
+    exact costs nothing more, since an exact zero has depth k_max.  Any
+    other hit costs tau_p mod p^k_max through the memo (a Newton lift under
+    a Hensel spec) and h evaluated mod p^k_max.  Reading the depth from one
+    deeper residue is exact because a spec's answers at different
+    precisions agree, so a stream spec hashes one digit, not k_max, at a
+    prime that is not a hit.
     """
     h = as_element(h)
     if h.is_zero:
@@ -106,10 +111,8 @@ def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
         )
     tau, num = ctx.tau, h.num
     hits = []
-    for p in primes_upto(p_max):
-        if _eval_mod(num, tau._residue(p, 1), p):
-            continue
-        if tau.is_exact_root(num, p):
+    for p, exact in tau._zeros(num, primes_upto(p_max)):
+        if exact:
             hits.append(PrimeHit(p, k_max, True, True))
             continue
         val = tau._eval_at(num, p, k_max)

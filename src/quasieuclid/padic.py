@@ -34,12 +34,13 @@ spec implements the uncached _residue, called with k >= 1; a composite
 spec returns the _residue of the spec it picks, so each residue is stored
 once, under the spec the caller asked for, but for the rest of n whose
 parts a piecewise spec takes from its default.  A scan reads each prime
-once, so it takes tau_p mod p straight from _residue and stores only the
-deep residues of the hits its spec does not certify exact: other callers'
-entries stay.  A key holds its spec alive and specs hash by identity, so
-an entry never answers for a later spec.  Values are deterministic in
-their key and lru_cache is thread-safe, so concurrent readers may share a
-spec.
+once, so it takes its hits from TauSpec._zeros, which reads tau_p mod p
+straight from _residue, or for a constant or Hensel spec decides by
+algebra without the root memo, and it stores only the deep residues of
+the hits its spec does not certify exact: other callers' entries stay.
+A key holds its spec alive and specs hash by identity, so an entry never
+answers for a later spec.  Values are deterministic in their key and
+lru_cache is thread-safe, so concurrent readers may share a spec.
 """
 
 from __future__ import annotations
@@ -66,12 +67,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 
 
-@lru_cache(maxsize=4096)
+# typed, so that 2.0 or True is never answered from the entry for 2
+@lru_cache(maxsize=4096, typed=True)
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the bases 2..41, exact below 3.3e24; above that a
     strong Lucas test follows, so the answer is BPSW-probable (Baillie-PSW:
-    no composite is known to pass both)."""
-    if n < 2:
+    no composite is known to pass both).  False for anything but an int."""
+    if type(n) is not int or n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
@@ -514,11 +516,18 @@ def _roots_mod(f: Sequence[int], p: int) -> list[int]:
 # Residues.
 
 
+def _exact_int(name: str, value: int) -> int:
+    # only exact integers: bool is an int subclass, and int() truncates or parses
+    if type(value) is not int:
+        raise ValueError(f"{name!r} must be an integer, got {value!r}")
+    return value
+
+
 def _check_prime_power(p: int, k: int) -> None:
-    """Raise ValueError unless p is prime and k >= 0."""
-    if not is_prime(p):
+    """Raise ValueError unless p is a prime int and k an int >= 0."""
+    if not is_prime(_exact_int("prime", p)):
         raise ValueError(f"{p} is not prime")
-    if k < 0:
+    if _exact_int("precision", k) < 0:
         raise ValueError("precision must be non-negative")
 
 
@@ -631,6 +640,15 @@ class TauSpec(ABC):
         """
         return False
 
+    def _zeros(self, h: Sequence[int], primes: Iterable[int]) -> Iterable[tuple[int, bool]]:
+        """(p, exact) for each p of the ascending primes with h(tau_p) = 0
+        mod p, in order, exact as is_exact_root(h, p) answers.  Here one
+        digit from _residue at each prime; a constant or Hensel spec decides
+        its zeros by algebra instead.  scan_sh reads its hits from here."""
+        for p in primes:
+            if not _eval_mod(h, self._residue(p, 1), p):
+                yield p, self.is_exact_root(h, p)
+
     def to_json(self) -> dict:
         """JSON-serializable description; inverse of tau_from_json."""
         return {"kind": self.kind, **{f: _json(getattr(self, f)) for f in self._fields}}
@@ -642,13 +660,6 @@ class TauSpec(ABC):
 
     def __repr__(self) -> str:
         return f"<TauSpec {self.to_json()!r}>"
-
-
-def _exact_int(name: str, value: int) -> int:
-    # only exact integers: bool is an int subclass, and int() truncates or parses
-    if type(value) is not int:
-        raise ValueError(f"{name!r} must be an integer, got {value!r}")
-    return value
 
 
 class ConstantTau(TauSpec):
@@ -668,6 +679,14 @@ class ConstantTau(TauSpec):
 
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
         return _eval_int(h, self.value) == 0
+
+    def _zeros(self, h: Sequence[int], primes: Iterable[int]) -> Iterator[tuple[int, bool]]:
+        v = abs(_eval_int(h, self.value))  # h(tau_p) at every prime, never factored
+        for p in primes:
+            if v and p > v:
+                return  # no later prime divides v
+            if not v % p:
+                yield p, not v
 
 
 class ZeroTau(ConstantTau):
@@ -768,9 +787,10 @@ class HenselTau(TauSpec):
     operations each, and a power near p = 10^9 takes about 30 squarings.  A
     residue is the Newton lift of that root, or the fallback's _residue, both
     as plain ints.  The root at p is memoized in _simple_root and the
-    residue in TauSpec._tau, both bounded; a scan's first digit is the
-    root itself, not stored in _tau.  Whether f divides a given h, the
-    test behind is_exact_root, is decided once per (f, h) pair by _divides.
+    residue in TauSpec._tau, both bounded.  A scan reads neither: _zeros
+    asks _divides once whether f divides h, the test behind is_exact_root,
+    then finds each prime's root with the unmemoized _least_simple_root, or
+    for a quadratic f that divides h needs no root at all.
     """
 
     kind = "hensel"
@@ -786,11 +806,7 @@ class HenselTau(TauSpec):
     # read again only at the prime just computed; the key holds its spec alive
     @lru_cache(maxsize=256)
     def _simple_root(self, p: int) -> int | None:
-        roots = _roots_mod(self.poly, p)
-        if len(self.poly) == 3 and len(roots) == 2:
-            return min(roots)  # a quadratic's two distinct roots are both simple
-        simple = (r for r in roots if _eval_mod(self._deriv, r, p))
-        return min(simple, default=None)
+        return _least_simple_root(self.poly, self._deriv, p)
 
     def _residue(self, p: int, k: int) -> int:
         root = self._simple_root(p)
@@ -804,6 +820,34 @@ class HenselTau(TauSpec):
         # sufficient condition: every root of f is a root of h
         return _divides(self.poly, tuple(h))
 
+    def _zeros(self, h: Sequence[int], primes: Iterable[int]) -> list[tuple[int, bool]]:
+        f = self.poly
+        exact = any(f) and _divides(f, tuple(h))  # a zero f has no root to lift
+        # When f = ax^2 + bx + c divides h, every prime where f has a simple
+        # root is an exact zero, and at an odd p that is where Euler's
+        # criterion holds for disc = b^2 - 4ac: for p not dividing a, two
+        # distinct roots exactly when disc is a nonzero square; for p | a,
+        # disc = b^2 and f is bx + c mod p, simple exactly when p does not
+        # divide b.  No root is computed.
+        euler = exact and len(f) == 3
+        disc = f[1] * f[1] - 4 * f[0] * f[2] if euler else 0
+        zeros, rest = [], []  # rest: the primes the fallback decides
+        for p in primes:
+            if euler and p > 2:
+                if pow(disc, p >> 1, p) == 1:  # p >> 1 = (p - 1)/2
+                    zeros.append((p, True))
+                else:
+                    rest.append(p)
+                continue
+            root = _least_simple_root(f, self._deriv, p)
+            if root is None:
+                rest.append(p)
+            elif not _eval_mod(h, root, p):
+                zeros.append((p, exact))
+        zeros += self.fallback._zeros(h, rest)
+        zeros.sort()  # two ascending runs; their primes differ
+        return zeros
+
     @classmethod
     def _read(cls, data: Mapping, depth: int) -> TauSpec:
         poly = data["poly"]
@@ -812,10 +856,20 @@ class HenselTau(TauSpec):
         return cls(poly, _tau_from_json(data["fallback"], depth + 1))
 
 
+def _least_simple_root(f: Sequence[int], deriv: Sequence[int], p: int) -> int | None:
+    """The smallest simple root of f mod the prime p, or None; deriv is f'.
+    Unmemoized: HenselTau._simple_root is its memo."""
+    roots = _roots_mod(f, p)
+    if len(f) == 3 and len(roots) == 2:
+        return min(roots)  # a quadratic's two distinct roots are both simple
+    return min((r for r in roots if _eval_mod(deriv, r, p)), default=None)
+
+
 @lru_cache(maxsize=256)
 def _divides(f: tuple[int, ...], h: tuple[int, ...]) -> bool:
-    """Whether f divides h in Q[x]; memoized, since a scan asks it at every
-    prime where f has a simple root."""
+    """Whether f divides h in Q[x]; memoized, since is_exact_root asks it
+    at every prime where f has a simple root.  A Hensel spec's own scan
+    asks it once, in _zeros."""
     return qdiv(RingElement(h), RingElement(f))[1].is_zero
 
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasieuclid import (
@@ -198,6 +198,73 @@ def test_lazy_scan_matches_the_eager_reference(kind, h, p_max, k_max):
     scan = scan_sh(RingContext(SCAN_SPECS[kind]()), RingElement(h), p_max, k_max)
     got = [(hit.prime, hit.depth, hit.saturated, hit.exact) for hit in scan.hits]
     assert got == _eager_scan(SCAN_SPECS[kind](), tuple(h), p_max, k_max)
+
+
+# -- zeros a spec decides by algebra ------------------------------------------------
+
+# 3x^2 + x - 5 has no root mod 2, 3 divides its leading coefficient and its
+# discriminant is 61; the cubics take the root finder's path
+NON_MONIC = (-5, 1, 3)
+HOOK_POLYS = [(-2, 0, 1), NON_MONIC, (1, 0, 1), (-1, -1, 0, 1), (-2, 0, 0, 1)]
+
+
+@st.composite
+def hook_cases(draw):
+    """A spec with a constant or Hensel part, and an h that its Hensel poly
+    f divides, that vanishes at its constant c, or neither."""
+    f = draw(st.sampled_from(HOOK_POLYS))
+    c = draw(st.integers(-3, 3))
+    fallback = draw(
+        st.sampled_from([constant(c), stream(c % 5), hensel((-7, 0, 1), constant(c))])
+    )
+    part = hensel(f, fallback)
+    spec = draw(
+        st.sampled_from(
+            [
+                part,
+                hensel(f, constant(c)),
+                constant(c),
+                piecewise({2: zero(), 3: constant(c)}, part),
+                progression(3, [1], part, constant(c)),
+            ]
+        )
+    )
+    g = RingElement(tuple(draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3).filter(lambda g: g[-1]))))
+    factor = draw(st.sampled_from([RingElement(f), RingElement((-c, 1)), RingElement((1,))]))
+    return spec, (factor * g).num
+
+
+@settings(max_examples=120, deadline=None)
+@given(hook_cases(), st.integers(2, 3000), st.sampled_from([1, 2, 8]))
+@example((hensel(NON_MONIC, constant(1)), (-5, -4, 4, 3)), 3000, 8)  # f·(x + 1)
+@example((hensel((-2, 0, 1), constant(1)), (-4, -2, 2, 1)), 3000, 8)  # f·(x + 2): 3 from h(1) = -3
+@example((constant(2), (-2, 1)), 3000, 8)  # h(c) = 0
+@example((constant(1), (3, 0, 1)), 3000, 8)  # h(c) = 4
+def test_a_specs_zeros_match_the_eager_reference(case, p_max, k_max):
+    spec, h = case
+    scan = scan_sh(RingContext(spec), RingElement(h), p_max, k_max)
+    got = [(hit.prime, hit.depth, hit.saturated, hit.exact) for hit in scan.hits]
+    assert got == _eager_scan(spec, h, p_max, k_max)
+
+
+@pytest.mark.parametrize("poly", [(), (0,), (0, 0, 0)])
+def test_a_zero_hensel_poly_scans_as_its_fallback(poly):
+    # no root to lift anywhere, and no division by the zero poly
+    for fallback, h in [(constant(3), (-3, 1)), (constant(3), (0, 1)), (zero(), (0, 1))]:
+        got = scan_sh(RingContext(hensel(poly, fallback)), RingElement(h), 200, 8)
+        assert got.hits == scan_sh(RingContext(fallback), RingElement(h), 200, 8).hits
+
+
+def test_a_non_monic_quadratic_decides_its_odd_primes_by_euler():
+    # 3x^3 + 4x^2 - 4x - 5 = (3x^2 + x - 5)(x + 1): exact wherever the
+    # quadratic has a simple root; elsewhere tau_p = 1 and h(1) = -2
+    spec = hensel(NON_MONIC, constant(1))
+    scan = scan_sh(RingContext(spec), RingElement((-5, -4, 4, 3)), 3000, 8)
+    hits = {hit.prime: hit for hit in scan.hits}
+    assert len(hits) == 208
+    assert (hits[2].depth, hits[2].saturated, hits[2].exact) == (1, False, False)
+    assert hits[3].exact and hits[3].saturated  # 3 | lc: the root of x - 5 mod 3
+    assert 61 not in hits  # a double root mod 61 is not simple, and 61 does not divide -2
 
 
 def test_certified_exact_hits_ask_for_one_digit_only():

@@ -132,6 +132,32 @@ def test_is_prime_cache_is_bounded():
     assert is_prime.cache_info().maxsize is not None
 
 
+@pytest.mark.parametrize("n", [2.5, 9.5, 2.0, 7.0, True, "7"])
+def test_is_prime_is_false_for_a_non_int(n):
+    assert is_prime(2) and is_prime(7)  # 2.0 and 7.0 hash as these entries
+    assert not is_prime(n)
+
+
+# (p, k) pairs with one of them a float or a bool
+NON_INT_PRIME_POWERS = [(2.5, 2), (9.5, 2), (7.0, 2), (True, 2), (7, 2.0), (7, 2.5), (7, True)]
+
+
+@pytest.mark.parametrize("p, k", NON_INT_PRIME_POWERS)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda p, k: stream(1).query(p, k),
+        lambda p, k: poly_eval_mod((1, 0, 1), stream(1), p, k),
+        lambda p, k: hensel_lift((-2, 0, 1), p, 3, k),  # 3 is a simple root of x^2 - 2 mod 7
+        lambda p, k: ResidueClass(p, k, 0),
+    ],
+    ids=["query", "poly_eval_mod", "hensel_lift", "ResidueClass"],
+)
+def test_prime_power_entry_points_refuse_a_non_int(entry, p, k):
+    with pytest.raises(ValueError, match="must be an integer"):
+        entry(p, k)
+
+
 def _prime_from(n):
     while not is_prime(n):
         n += 1
@@ -514,7 +540,9 @@ def test_residue_memos_stay_bounded_over_a_long_scan():
     assert tau.cache_info().maxsize is not None
     assert tau.cache_info().currsize == tau.cache_info().maxsize < tau.cache_info().misses
     root.cache_clear()
-    scan_sh(RingContext(hensel((-2, 0, 1), constant(1))), RingElement((1, 0, 1)), 20000, 8)
+    spec = hensel((-2, 0, 1), constant(1))
+    for p in primes_upto(20000):  # a Hensel scan's roots skip the memo too
+        spec.query(p, 2)
     assert root.cache_info().maxsize is not None
     assert root.cache_info().currsize == root.cache_info().maxsize < root.cache_info().misses
 
@@ -532,6 +560,23 @@ def test_a_scan_leaves_other_callers_residues_in_the_memo():
     assert after.misses - before.misses == len(deep)
     other.query(7, 5)
     assert tau.cache_info().hits == after.hits + 1
+
+
+def test_a_hensel_scan_leaves_other_callers_roots_in_the_memo():
+    root = padic.HenselTau._simple_root
+    root.cache_clear()
+    other = hensel((-7, 0, 1), zero())
+    assert other._simple_root(19) is not None  # 7 = 8^2 mod 19
+    before = root.cache_info()
+    spec = hensel((-2, 0, 1), constant(1))
+    scan = scan_sh(RingContext(spec), RingElement((1, 0, 1)), 20000, 8)
+    after = root.cache_info()
+    deep = [hit for hit in scan.hits if not hit.exact]
+    assert deep  # x^2 + 1 at the fallback's tau_2 = 1: a hit at 2 lifted to 2^8
+    assert after.currsize - before.currsize <= len(deep)
+    assert after.misses - before.misses <= len(deep)
+    other._simple_root(19)
+    assert root.cache_info().hits == after.hits + 1
 
 
 def _hashed_digit(seed, p, i):
