@@ -82,20 +82,20 @@ def scan_sh(ctx: RingContext, h: RingElement, p_max: int, k_max: int) -> ShScan:
     digit streams never do.
 
     The scan pays three costs.  Finding the hits, the primes where
-    h(tau_p) = 0 mod p, is the spec's _zeros.  In general that is one digit
-    of tau and h(tau_p) mod p at every prime; the digit comes from the
-    spec's _residue(p, 1), not the residue memo, since the scan reads each
-    prime once.  A constant spec evaluates h(c) once and tests it against
-    each prime, stopping past |h(c)|.  A Hensel spec asks once whether its
-    f divides h; if so and f is quadratic, Euler's criterion on the
-    discriminant decides each odd prime with one power, and otherwise it
-    finds each root without the root memo.  A hit that the spec certifies
-    exact costs nothing more, since an exact zero has depth k_max.  Any
-    other hit costs tau_p mod p^k_max through the memo (a Newton lift under
-    a Hensel spec) and h evaluated mod p^k_max.  Reading the depth from one
-    deeper residue is exact because a spec's answers at different
-    precisions agree, so a stream spec hashes one digit, not k_max, at a
-    prime that is not a hit.
+    h(tau_p) = 0 mod p, is the spec's _zeros.  A split spec (piecewise or
+    progression) answers through its parts, each asked for its own primes.
+    A constant spec evaluates h(c) once and tests it against each prime,
+    stopping past |h(c)|.  A Hensel spec asks once whether its f divides
+    h; if so and f is quadratic, Euler's criterion on the discriminant
+    decides each odd prime with one power, else it finds each root, and
+    its fallback answers where f has no simple root.  Any other spec reads
+    tau_p mod p from _residue(p, 1), not the residue memo, since the scan
+    reads each prime once.  A hit that the spec certifies exact costs nothing more, since an
+    exact zero has depth k_max.  Any other hit costs tau_p mod p^k_max
+    through the memo (a Newton lift under a Hensel spec) and h evaluated
+    mod p^k_max.  Reading the depth from one deeper residue is exact
+    because a spec's answers at different precisions agree, so a stream
+    spec hashes one digit, not k_max, at a prime that is not a hit.
     """
     h = as_element(h)
     if h.is_zero:

@@ -28,25 +28,25 @@ then by Brent's rho, and raises FactorBudgetExceeded (a BudgetExceeded,
 so a ValueError) past RHO_BUDGET rho iterations.  is_prime is exact below
 3.3e24 and BPSW-probable above; factorize trusts it on every cofactor.
 
-Residues are memoized in two bounded lru_caches shared by every spec:
-TauSpec._tau by (spec, p, k) and HenselTau._simple_root by (spec, p).  A
-spec implements the uncached _residue, called with k >= 1; a composite
-spec returns the _residue of the spec it picks, so each residue is stored
-once, under the spec the caller asked for, but for the rest of n whose
-parts a piecewise spec takes from its default.  A scan reads each prime
-once, so it takes its hits from TauSpec._zeros, which reads tau_p mod p
-straight from _residue, or for a constant or Hensel spec decides by
-algebra without the root memo, and it stores only the deep residues of
-the hits its spec does not certify exact: other callers' entries stay.
-A key holds its spec alive and specs hash by identity, so an entry never
-answers for a later spec.  Values are deterministic in their key and
-lru_cache is thread-safe, so concurrent readers may share a spec.
+Residues are memoized in one bounded lru_cache shared by every spec,
+TauSpec._tau by (spec, p, k).  A spec implements the uncached _residue,
+called with k >= 1; a composite spec returns the _residue of the spec it
+picks, so each residue is stored once, under the spec the caller asked
+for, but for the rest of n whose parts a piecewise spec takes from its
+default.  A scan reads each prime once, so it takes its hits from
+TauSpec._zeros, which reads no memo (a split spec asks each part for its
+own primes), and stores only the deep residues of the hits its spec does
+not certify exact: other callers' entries stay.  A key holds its spec
+alive and specs hash by identity, so an entry never answers for a later
+spec.  Values are deterministic in their key and lru_cache is
+thread-safe, so concurrent readers may share a spec.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+import heapq
 import itertools
 import math
 from abc import ABC, abstractmethod
@@ -607,7 +607,7 @@ class TauSpec(ABC):
     def _residue(self, p: int, k: int) -> int:
         """Value of tau_p mod p^k, 0 <= value < p^k, for a prime p and
         k >= 1, unchecked and uncached; called by _tau, by a composite
-        spec's _residue, and by scan_sh for the first digit at each prime."""
+        spec's _residue, and by the base _zeros for a first digit."""
 
     def eval_mod(self, h: Sequence[int], n: int) -> int:
         """h(tau) mod n for n >= 1, the Chinese remainder of _parts; a
@@ -642,9 +642,9 @@ class TauSpec(ABC):
 
     def _zeros(self, h: Sequence[int], primes: Iterable[int]) -> Iterable[tuple[int, bool]]:
         """(p, exact) for each p of the ascending primes with h(tau_p) = 0
-        mod p, in order, exact as is_exact_root(h, p) answers.  Here one
-        digit from _residue at each prime; a constant or Hensel spec decides
-        its zeros by algebra instead.  scan_sh reads its hits from here."""
+        mod p, in order, exact as is_exact_root(h, p) answers; scan_sh reads
+        its hits here.  Here one digit from _residue at each prime; constant
+        and Hensel specs decide by algebra, split specs through their parts."""
         for p in primes:
             if not _eval_mod(h, self._residue(p, 1), p):
                 yield p, self.is_exact_root(h, p)
@@ -786,11 +786,11 @@ class HenselTau(TauSpec):
     mod p; a higher degree costs polynomial powers mod f of O(d^2 log p)
     operations each, and a power near p = 10^9 takes about 30 squarings.  A
     residue is the Newton lift of that root, or the fallback's _residue, both
-    as plain ints.  The root at p is memoized in _simple_root and the
-    residue in TauSpec._tau, both bounded.  A scan reads neither: _zeros
-    asks _divides once whether f divides h, the test behind is_exact_root,
-    then finds each prime's root with the unmemoized _least_simple_root, or
-    for a quadratic f that divides h needs no root at all.
+    as plain ints, memoized whole in TauSpec._tau.  A scan reads no residue:
+    _zeros asks _divides once whether f divides h, the test behind
+    is_exact_root, then finds each prime's root with _least_simple_root, or
+    for a quadratic f that divides h needs no root at all, and merges its
+    hits with the fallback's _zeros of the primes where f has no simple root.
     """
 
     kind = "hensel"
@@ -803,26 +803,21 @@ class HenselTau(TauSpec):
         self.fallback = fallback
         self._deriv = _derivative(self.poly)
 
-    # read again only at the prime just computed; the key holds its spec alive
-    @lru_cache(maxsize=256)
-    def _simple_root(self, p: int) -> int | None:
-        return _least_simple_root(self.poly, self._deriv, p)
-
     def _residue(self, p: int, k: int) -> int:
-        root = self._simple_root(p)
+        root = _least_simple_root(self.poly, self._deriv, p)
         if root is None:
             return self.fallback._residue(p, k)
         return _newton(self.poly, self._deriv, p, root, k)
 
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
-        if self._simple_root(p) is None:
+        if _least_simple_root(self.poly, self._deriv, p) is None:
             return self.fallback.is_exact_root(h, p)
         # sufficient condition: every root of f is a root of h
-        return _divides(self.poly, tuple(h))
+        return _divides(self.poly, h)
 
-    def _zeros(self, h: Sequence[int], primes: Iterable[int]) -> list[tuple[int, bool]]:
+    def _zeros(self, h: Sequence[int], primes: Iterable[int]) -> Iterator[tuple[int, bool]]:
         f = self.poly
-        exact = any(f) and _divides(f, tuple(h))  # a zero f has no root to lift
+        exact = any(f) and _divides(f, h)  # a zero f has no root to lift
         # When f = ax^2 + bx + c divides h, every prime where f has a simple
         # root is an exact zero, and at an odd p that is where Euler's
         # criterion holds for disc = b^2 - 4ac: for p not dividing a, two
@@ -844,9 +839,7 @@ class HenselTau(TauSpec):
                 rest.append(p)
             elif not _eval_mod(h, root, p):
                 zeros.append((p, exact))
-        zeros += self.fallback._zeros(h, rest)
-        zeros.sort()  # two ascending runs; their primes differ
-        return zeros
+        return heapq.merge(zeros, self.fallback._zeros(h, rest))  # their primes differ
 
     @classmethod
     def _read(cls, data: Mapping, depth: int) -> TauSpec:
@@ -858,25 +851,24 @@ class HenselTau(TauSpec):
 
 def _least_simple_root(f: Sequence[int], deriv: Sequence[int], p: int) -> int | None:
     """The smallest simple root of f mod the prime p, or None; deriv is f'.
-    Unmemoized: HenselTau._simple_root is its memo."""
+    Unmemoized: a residue that needs it is memoized whole in TauSpec._tau."""
     roots = _roots_mod(f, p)
     if len(f) == 3 and len(roots) == 2:
         return min(roots)  # a quadratic's two distinct roots are both simple
     return min((r for r in roots if _eval_mod(deriv, r, p)), default=None)
 
 
-@lru_cache(maxsize=256)
-def _divides(f: tuple[int, ...], h: tuple[int, ...]) -> bool:
-    """Whether f divides h in Q[x]; memoized, since is_exact_root asks it
-    at every prime where f has a simple root.  A Hensel spec's own scan
-    asks it once, in _zeros."""
+def _divides(f: Sequence[int], h: Sequence[int]) -> bool:
+    """Whether f divides h in Q[x], by one division; a scan asks it once
+    per Hensel part, in _zeros."""
     return qdiv(RingElement(h), RingElement(f))[1].is_zero
 
 
 class _SplitTau(TauSpec):
     """A spec that delegates each prime to the spec chosen by _pick (by the
     prime for piecewise, by its class mod m for progression), whose _residue
-    it returns: the residue is memoized under this spec alone."""
+    it returns: the residue is memoized under this spec alone.  A scan asks
+    each part's _zeros for the part's own primes."""
 
     @abstractmethod
     def _pick(self, p: int) -> TauSpec:
@@ -887,6 +879,12 @@ class _SplitTau(TauSpec):
 
     def is_exact_root(self, h: Sequence[int], p: int) -> bool:
         return self._pick(p).is_exact_root(h, p)
+
+    def _zeros(self, h: Sequence[int], primes: Iterable[int]) -> Iterator[tuple[int, bool]]:
+        parts: dict[TauSpec, list[int]] = {}  # each part's primes, still ascending
+        for p in primes:
+            parts.setdefault(self._pick(p), []).append(p)
+        return heapq.merge(*(spec._zeros(h, ps) for spec, ps in parts.items()))
 
 
 class PiecewiseTau(_SplitTau):
@@ -1034,7 +1032,7 @@ def _newton(f: Sequence[int], deriv: Sequence[int], p: int, x: int, k: int) -> i
     which is 1/f'(x) mod p^prec again, ready for the next doubling (von
     zur Gathen and Gerhard, Modern Computer Algebra, Alg. 9.22).
     """
-    if k <= 1:  # a scan asks every prime for one digit: no inverse for it
+    if k <= 1:  # one digit, as membership's _tau(p, 1) asks: no inverse for it
         return x % p**k
     y = pow(_eval_mod(deriv, x, p), -1, p)
     prec = 1

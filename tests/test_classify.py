@@ -161,7 +161,7 @@ SCAN_SPECS = {
     "log_generic": lambda: log_generic(7),
     "hensel": lambda: hensel((-2, 0, 1), stream(1)),
     "piecewise": lambda: piecewise({2: zero(), 3: constant(1), 7: stream(9)}, log_generic(3)),
-    "predicate": lambda: progression(4, [1], constant(2), hensel((-7, 0, 1), zero())),
+    "progression": lambda: progression(4, [1], constant(2), hensel((-7, 0, 1), zero())),
 }
 
 
@@ -301,7 +301,7 @@ def test_exact_root_is_a_zero_at_every_precision(kind, factor, g):
 
 def _exact_reference(spec, h, p):
     """HenselTau.is_exact_root as it was, with a qdiv at every prime."""
-    if spec._simple_root(p) is None:
+    if padic._least_simple_root(spec.poly, padic._derivative(spec.poly), p) is None:
         return spec.fallback.is_exact_root(h, p)
     return qdiv(RingElement(h), RingElement(spec.poly))[1].is_zero
 
@@ -319,11 +319,18 @@ def _exact_reference(spec, h, p):
 )
 def test_exact_flags_unchanged_under_the_memo(h):
     spec = hensel((-2, 0, 1), constant(1))
-    padic._divides.cache_clear()
     scan = scan_sh(RingContext(spec), RingElement(h), 400, 6)
     assert scan.hits
     for hit in scan.hits:
         assert hit.exact == _exact_reference(spec, h, hit.prime), hit
+
+
+# x^2 - 2 under its own Hensel spec, alone and as the Hensel part of a split spec
+HENSEL_X2_MINUS_2 = {
+    "hensel": lambda: hensel((-2, 0, 1), constant(1)),
+    "piecewise": lambda: piecewise({2: zero()}, hensel((-2, 0, 1), constant(1))),
+    "progression": lambda: progression(8, [1, 7], hensel((-2, 0, 1), constant(1)), constant(1)),
+}
 
 
 def test_exact_root_runs_one_division_per_h(monkeypatch):
@@ -334,12 +341,27 @@ def test_exact_root_runs_one_division_per_h(monkeypatch):
         return qdiv(a, b)
 
     monkeypatch.setattr(padic, "qdiv", counting_qdiv)
-    padic._divides.cache_clear()
-    spec = hensel((-2, 0, 1), constant(1))
-    scan = scan_sh(RingContext(spec), X2_MINUS_2, 2000, 8)
-    assert len(scan.exact_primes()) > 100
-    assert len(calls) == 1
-    assert padic._divides.cache_info().maxsize is not None
+    for make in HENSEL_X2_MINUS_2.values():
+        calls.clear()
+        scan = scan_sh(RingContext(make()), X2_MINUS_2, 2000, 8)
+        assert len(scan.exact_primes()) > 100
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["piecewise", "progression"])
+def test_a_hensel_part_decides_its_primes_by_euler(monkeypatch, kind):
+    # every odd prime the Hensel part answers takes one Euler power, and the
+    # split spec gives p = 2 (no simple root of x^2 - 2) to its constant part
+    calls, least_simple_root = [], padic._least_simple_root
+
+    def counting_root(f, deriv, p):
+        calls.append(p)
+        return least_simple_root(f, deriv, p)
+
+    monkeypatch.setattr(padic, "_least_simple_root", counting_root)
+    scan = scan_sh(RingContext(HENSEL_X2_MINUS_2[kind]()), X2_MINUS_2, 20000, 8)
+    assert len(scan.exact_primes()) > 1000
+    assert calls == []
 
 
 # -- witnesses ------------------------------------------------------------------
@@ -541,7 +563,7 @@ def test_zero_on_rejects_composites():
         make_zero_on([4], zero())
 
 
-def test_zero_on_predicate_covers_all_primes():
+def test_zero_on_progression_covers_all_primes():
     spec = progression(1, [0], zero(), stream(9))
     reference = constant(0)
     for p in (2, 3, 5, 7, 11):

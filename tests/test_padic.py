@@ -502,7 +502,7 @@ def _picked(spec, p):
     """The leaf spec whose residue spec hands over at p; a leaf picks itself."""
     if isinstance(spec, padic._SplitTau):
         return _picked(spec._pick(p), p)
-    if isinstance(spec, padic.HenselTau) and spec._simple_root(p) is None:
+    if isinstance(spec, padic.HenselTau) and _simple_root(spec.poly, p) is None:
         return _picked(spec.fallback, p)
     return spec
 
@@ -523,7 +523,7 @@ def test_a_spec_answers_as_its_pick_under_one_memo_entry(spec, p, k):
         (progression(2, [0], zero(), stream(3)), 11),
         (hensel((1, 0, 1), constant(1)), 3),  # x^2 + 1 has no root mod 3
     ],
-    ids=["piecewise", "predicate", "hensel_fallback"],
+    ids=["piecewise", "progression", "hensel_fallback"],
 )
 def test_a_composite_spec_stores_its_residue_once(spec, p):
     padic.TauSpec._tau.cache_clear()
@@ -532,19 +532,13 @@ def test_a_composite_spec_stores_its_residue_once(spec, p):
 
 
 def test_residue_memos_stay_bounded_over_a_long_scan():
-    tau, root = padic.TauSpec._tau, padic.HenselTau._simple_root
+    tau = padic.TauSpec._tau
     tau.cache_clear()
     spec = stream(1)
     for p in primes_upto(20000):  # 2,262 primes; a scan's first digits skip the memo
         spec.query(p, 2)
     assert tau.cache_info().maxsize is not None
     assert tau.cache_info().currsize == tau.cache_info().maxsize < tau.cache_info().misses
-    root.cache_clear()
-    spec = hensel((-2, 0, 1), constant(1))
-    for p in primes_upto(20000):  # a Hensel scan's roots skip the memo too
-        spec.query(p, 2)
-    assert root.cache_info().maxsize is not None
-    assert root.cache_info().currsize == root.cache_info().maxsize < root.cache_info().misses
 
 
 def test_a_scan_leaves_other_callers_residues_in_the_memo():
@@ -560,23 +554,6 @@ def test_a_scan_leaves_other_callers_residues_in_the_memo():
     assert after.misses - before.misses == len(deep)
     other.query(7, 5)
     assert tau.cache_info().hits == after.hits + 1
-
-
-def test_a_hensel_scan_leaves_other_callers_roots_in_the_memo():
-    root = padic.HenselTau._simple_root
-    root.cache_clear()
-    other = hensel((-7, 0, 1), zero())
-    assert other._simple_root(19) is not None  # 7 = 8^2 mod 19
-    before = root.cache_info()
-    spec = hensel((-2, 0, 1), constant(1))
-    scan = scan_sh(RingContext(spec), RingElement((1, 0, 1)), 20000, 8)
-    after = root.cache_info()
-    deep = [hit for hit in scan.hits if not hit.exact]
-    assert deep  # x^2 + 1 at the fallback's tau_2 = 1: a hit at 2 lifted to 2^8
-    assert after.currsize - before.currsize <= len(deep)
-    assert after.misses - before.misses <= len(deep)
-    other._simple_root(19)
-    assert root.cache_info().hits == after.hits + 1
 
 
 def _hashed_digit(seed, p, i):
@@ -993,6 +970,11 @@ def test_tau_json_override_keys_must_be_decimal():
 # -- hensel roots by gcd ------------------------------------------------------
 
 
+def _simple_root(f, p):
+    """HenselTau's root at p: the smallest simple root of f mod p, or None."""
+    return padic._least_simple_root(f, padic._derivative(f), p)
+
+
 def _linear_simple_root(f, p):
     """The smallest r in [0, p) with f(r) = 0 and f'(r) != 0 mod p, by trying
     every residue: the search HenselTau ran before it found roots by gcds,
@@ -1053,7 +1035,7 @@ def test_simple_root_matches_linear_search(g, p, shape, r):
         f = [c * p for c in g]
     else:
         f = g
-    assert hensel(f, zero())._simple_root(p) == _linear_simple_root(f, p)
+    assert _simple_root(f, p) == _linear_simple_root(f, p)
     fp = [c % p for c in f]
     while fp and not fp[-1]:
         fp.pop()
@@ -1065,17 +1047,16 @@ def test_simple_root_matches_linear_search(g, p, shape, r):
 
 @pytest.mark.parametrize("f", [(-2, 0, 1), (-13, 3, 1)], ids=["x^2-2", "x^2+3x-13"])
 def test_simple_root_matches_linear_search_at_every_prime_to_3000(f):
-    spec = hensel(f, zero())
     for p in primes_upto(3000):
-        assert spec._simple_root(p) == _linear_simple_root(f, p), p
+        assert _simple_root(f, p) == _linear_simple_root(f, p), p
 
 
 def test_simple_root_at_a_large_prime():
     p = 1000000007
-    r = hensel((-2, 0, 1), zero())._simple_root(p)
+    r = _simple_root((-2, 0, 1), p)
     assert r == 59713600
     assert (r * r - 2) % p == 0 and r < p - r
-    assert hensel((1, 0, 1), zero())._simple_root(p) is None  # p = 3 mod 4
+    assert _simple_root((1, 0, 1), p) is None  # p = 3 mod 4
 
 
 # -- quadratic roots by a square root ---------------------------------------------
@@ -1116,7 +1097,7 @@ def test_quadratic_roots_at_primes_with_large_two_adic_part(p):
         roots = _every_root(f, p)
         assert sorted(padic._roots_mod(f, p)) == roots, f
         simple = [r for r in roots if (f[1] + 2 * f[2] * r) % p]
-        assert hensel(f, zero())._simple_root(p) == min(simple, default=None), f
+        assert _simple_root(f, p) == min(simple, default=None), f
 
 
 @pytest.mark.parametrize(
@@ -1132,7 +1113,7 @@ def test_quadratic_roots_at_primes_with_large_two_adic_part(p):
 def test_quadratic_with_zero_discriminant_falls_back(f, p, roots):
     assert sorted(padic._roots_mod(f, p)) == roots == _every_root(f, p)
     spec = hensel(f, constant(5))
-    assert spec._simple_root(p) is None
+    assert _simple_root(f, p) is None
     for k in range(1, 6):
         assert spec.query(p, k).value == 5 % p**k
 
@@ -1156,7 +1137,7 @@ def test_quadratic_with_zero_discriminant_falls_back(f, p, roots):
 )
 def test_quadratic_edge_cases_against_every_residue(f, p):
     assert sorted(padic._roots_mod(f, p)) == _every_root(f, p)
-    assert hensel(f, zero())._simple_root(p) == _linear_simple_root(f, p)
+    assert _simple_root(f, p) == _linear_simple_root(f, p)
 
 
 def _from_roots(roots, tail=(1,)):

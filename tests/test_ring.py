@@ -390,7 +390,6 @@ def test_answers_do_not_depend_on_the_residue_memo(tau):
 
     def clear():
         padic.TauSpec._tau.cache_clear()
-        padic.HenselTau._simple_root.cache_clear()
 
     clear()
     cold = answers()
